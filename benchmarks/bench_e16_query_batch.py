@@ -38,14 +38,11 @@ many targets) against per-pair scalar queries across batch sizes — the
 per-pair latency curve that shows where batching starts paying.
 
 **End-to-end builds.**  ``build_cons2ftbfs`` wall time on the headline
-workload across three arms — *speculative* (the full pipeline:
-batched wave-1 probes plus the speculative dependency-aware step-3
-wave of :class:`~repro.core.query_batch.SpeculativeBatch`), *scalar
-step 3* (``REPRO_SPEC_BATCH=0``: batched wave 1, sequential scalar
-``d_restricted`` probes) and *fully scalar* (``REPRO_QUERY_BATCH=0``,
-the pre-batch pipeline) — asserting byte-identical structures and
-reporting the speculation hit/discard counters per arm, so mispredict
-rates are visible next to the wall times.
+workload across two arms — *batched* (the default pipeline: batched
+step-2/3 target probes, sequential scalar step-3 ``d_restricted``
+probes) and *scalar* (``REPRO_QUERY_BATCH=0``, the pre-batch
+pipeline) — asserting byte-identical structures and recording which
+kernel tier served each arm.
 
 Environment knobs (used by CI's smoke run):
 
@@ -70,9 +67,6 @@ Environment knobs (used by CI's smoke run):
     asserted only when the C kernel is available — the nightly builds
     the extension and enforces 2.0, which closes the ER gap the numpy
     arm plateaus under; measured ≈2.6x ER / ≈4.5x chords at n=1000).
-``REPRO_BENCH_MIN_SPEC_BUILD``
-    Required speculative-arm end-to-end build speedup over the fully
-    scalar baseline (default 0; the nightly enforces 1.0 at n=1000).
 ``REPRO_BENCH_ROUNDS``
     Best-of rounds per arm (default 2).
 ``REPRO_E16_SOURCES``
@@ -378,15 +372,11 @@ def test_e16_batch_size_curve(benchmark):
     )
 
 
-#: The three end-to-end build arms: (label, REPRO_QUERY_BATCH,
-#: REPRO_SPEC_BATCH).  ``speculative`` is the full default pipeline,
-#: ``scalar-step3`` isolates the speculative step-3 wave (wave 1 stays
-#: batched), ``scalar`` is the pre-batch pipeline and the baseline the
-#: speedup floor applies to.
+#: The two end-to-end build arms: (label, REPRO_QUERY_BATCH).
+#: ``batched`` is the default pipeline, ``scalar`` the pre-batch one.
 BUILD_ARMS = [
-    ("speculative", "1", "1"),
-    ("scalar-step3", "1", "0"),
-    ("scalar", "0", "0"),
+    ("batched", "1"),
+    ("scalar", "0"),
 ]
 
 
@@ -394,80 +384,38 @@ def test_e16_end_to_end_build(benchmark):
     kind, n, arg = _sizes()[0]  # the headline workload (chords n=1000)
     g = _graph(kind, n, arg)
     n = n if n is not None else g.n
-    min_spec = float(os.environ.get("REPRO_BENCH_MIN_SPEC_BUILD", "0"))
     times = {}
     sizes = {}
-    spec_stats = {}
     dispatch = {}
-    for label, qb, spec in BUILD_ARMS:
+    for label, qb in BUILD_ARMS:
         os.environ["REPRO_QUERY_BATCH"] = qb
-        os.environ["REPRO_SPEC_BATCH"] = spec
         try:
             best = float("inf")
             for _ in range(_rounds()):
                 shared_cache().clear()
-                shared_cache().reset_stats()
                 kernel_dispatch_stats(g, reset=True)
                 t0 = time.perf_counter()
                 h = build_cons2ftbfs(g, 0, engine=BATCH_ENGINE)
                 best = min(best, time.perf_counter() - t0)
             times[label] = best
             sizes[label] = frozenset(h.edges)
-            # One cold build's worth of reconciliation counters (the
-            # "observable mispredict rate" of the speculation work)
-            # and of kernel-tier dispatch (which tier served the arm).
-            cs = shared_cache().stats()
-            spec_stats[label] = {
-                k: cs[k]
-                for k in (
-                    "spec_planned",
-                    "spec_hits",
-                    "spec_misses",
-                    "spec_discards",
-                )
-            }
+            # One cold build's kernel-tier dispatch (which tier served
+            # the arm).
             dispatch[label] = kernel_dispatch_stats(g)
         finally:
             os.environ.pop("REPRO_QUERY_BATCH", None)
-            os.environ.pop("REPRO_SPEC_BATCH", None)
     assert len(set(sizes.values())) == 1, (
-        "speculative / scalar-step-3 / scalar builds must be byte-identical"
+        "batched / scalar builds must be byte-identical"
     )
     scalar = times["scalar"]
-    rows = []
-    for label, _qb, _spec in BUILD_ARMS:
-        st = spec_stats[label]
-        rate = (
-            100.0 * st["spec_discards"] / st["spec_planned"]
-            if st["spec_planned"]
-            else 0.0
-        )
-        rows.append(
-            [
-                label,
-                f"{times[label]:.3f}",
-                f"{scalar / times[label]:.2f}x",
-                st["spec_planned"],
-                st["spec_hits"],
-                st["spec_discards"],
-                f"{rate:.0f}%",
-            ]
-        )
+    rows = [
+        [label, f"{times[label]:.3f}", f"{scalar / times[label]:.2f}x"]
+        for label, _qb in BUILD_ARMS
+    ]
     emit(
         "E16-build",
         f"end-to-end build_cons2ftbfs arms ({workload_label(kind, n, arg)})",
-        table(
-            [
-                "arm",
-                "seconds",
-                "vs scalar",
-                "spec planned",
-                "hits",
-                "discards",
-                "mispredict",
-            ],
-            rows,
-        ),
+        table(["arm", "seconds", "vs scalar"], rows),
     )
     emit_json(
         "e16_build",
@@ -480,19 +428,12 @@ def test_e16_end_to_end_build(benchmark):
                 label: {
                     "seconds": times[label],
                     "speedup_vs_scalar": scalar / times[label],
-                    "speculation": spec_stats[label],
                     "kernel_dispatch": dispatch[label],
                 }
-                for label, _qb, _spec in BUILD_ARMS
+                for label, _qb in BUILD_ARMS
             },
         },
     )
-    if min_spec:
-        speedup = scalar / times["speculative"]
-        assert speedup >= min_spec, (
-            f"speculative-step-3 build only {speedup:.2f}x vs the scalar "
-            f"baseline on {kind} n={n} (required {min_spec}x)"
-        )
     benchmark.pedantic(
         lambda: build_cons2ftbfs(g, 0, engine=BATCH_ENGINE),
         rounds=1,

@@ -47,8 +47,7 @@ reports speedups against the legacy ``lex`` engine, the kernel tier
 that actually served each arm's batched queries (auto-dispatch is
 otherwise invisible — ``REPRO_C_KERNEL=auto`` accelerates ``lex-bulk``
 too whenever the C kernel loads), plus the snapshot-cache
-hit/miss/eviction counters and the speculative step-3
-hit/miss/discard counters of one cold build; the process-wide
+hit/miss/eviction counters of one cold build; the process-wide
 snapshot cache (which lets builders share restricted-search results)
 is cleared before every timed round so no engine is measured against
 another's warm cache.  ``bench --sources K --jobs J`` times a σ=K
@@ -585,17 +584,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"misses ({rate:.0f}% hit rate), {cs['evictions']} evicted, "
                 f"{cs['oversize']} oversize, {cs['entries']} live entries"
             )
-            planned = cs.get("spec_planned", 0)
-            if planned:
-                # Speculative step-3 reconciliation (one cold build):
-                # discards / planned is the arm's mispredict rate.
-                mispredict = 100.0 * cs["spec_discards"] / planned
-                print(
-                    f"             speculation: {planned} planned, "
-                    f"{cs['spec_hits']} hits / {cs['spec_misses']} misses / "
-                    f"{cs['spec_discards']} discards "
-                    f"({mispredict:.0f}% mispredict)"
-                )
     if args.json:
         payload = {
             "builder": args.builder,

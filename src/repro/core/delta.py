@@ -60,9 +60,8 @@ number of them (``REPRO_DELTA_RECHECK``) are refreshed in place with
 one bidirectional probe each on the *child* snapshot — counted as
 ``delta_rechecked`` — and the rest evict.
 
-Structure-repair memos (``repair:*``), speculative answers (``spec:*``)
-and unknown namespaces always evict: their keys embed whole incident
-edge sets whose survival analysis would cost more than recomputation.
+Structure-repair memos (``repair:*``) and unknown namespaces always
+evict: recomputing them costs less than proving they survive.
 """
 
 from __future__ import annotations
@@ -239,8 +238,8 @@ def migrate_cache(
                 state["ban_key"] = bucket
             d = child.bidir_distance(s, t, state["ban"])
             return (new_key, d, True)
-        # repair:*, spec:* and anything unknown: keys embed whole
-        # incident-edge sets; recomputation is cheaper than analysis.
+        # repair:* and anything unknown: recomputation is cheaper
+        # than survival analysis.
         return None
 
     return cache.migrate(parent, child, decide)

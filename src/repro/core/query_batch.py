@@ -64,27 +64,11 @@ legacy :class:`~repro.core.canonical.PythonDistanceOracle` answers the
 same planner API through :class:`LegacyQueryBatch` (dedupe only), so
 ``--engine lex`` keeps reproducing the pre-kernel behavior end to end.
 
-**Speculative dependency-aware planning.**  One feasibility loop
-cannot be planned upfront: step 3 of ``Cons2FTBFS`` probes
-``dist(s, v, G \\ ((E(v) \\ collected) ∪ F))`` where ``collected`` —
-the edge set gathered at ``v`` so far — *evolves as the loop runs*.
-:class:`SpeculativeBatch` pipelines it anyway: the consumer declares
-each candidate probe together with a *dependency token* (any hashable
-naming the state the probe's restriction was predicted from), the
-planner executes one speculative wave through the grouped strategies
-above, and the consumer reconciles while replaying its sequential
-control flow — :meth:`SpeculativeBatch.claim` hands back the
-speculative answer iff the token still matches the live state, and
-returns ``None`` (fall back to one scalar query) when the dependency
-moved underneath the prediction.  Mispredicted answers are merely
-discarded — every speculative result is an exact distance for the
-restriction it was computed under, so speculation can change the
-schedule but never the output (``REPRO_SPEC_BATCH=0`` forces the
-sequential path; property-tested by ``tests/test_spec_batch.py``).
-Speculative answers are memoized under the weight-capped ``spec:*``
-snapshot-cache namespace, and reconciliation outcomes are counted on
-the shared cache (``spec_hits`` / ``spec_misses`` / ``spec_discards``)
-so mispredict rates are observable per ``repro bench`` arm.
+Only probes whose restriction is known upfront belong here.  Step 3 of
+``Cons2FTBFS`` also probes ``dist(s, v, G \\ ((E(v) \\ collected) ∪ F))``,
+but ``collected`` — the edge set gathered at ``v`` so far — grows as
+the loop runs, so those probes are issued one at a time as scalar
+queries in the paper's order.
 
 Environment knobs:
 
@@ -92,21 +76,6 @@ Environment knobs:
     ``0`` disables batched execution in the converted builders (they
     fall back to per-pair scalar queries); used by the E16 benchmark to
     time the scalar arm.  Default ``1``.
-``REPRO_SPEC_BATCH``
-    ``0`` disables the speculative dependency-aware wave (consumers
-    run their dependent loops sequentially, the pre-speculation
-    behavior); the output is bit-identical either way.  Default ``1``.
-``REPRO_SPEC_ROUNDS``
-    Maximum speculative waves per consumer run (default ``1``): wave 1
-    carries the initial predictions; with more rounds, runs whose
-    dependency moved re-predict their remaining probes and rejoin the
-    next wave instead of falling back to scalar queries.
-``REPRO_SPEC_CACHE_INTS``
-    Weight budget (total ints across restriction keys) for the
-    ``spec:*`` snapshot-cache namespace holding speculative answers
-    (default ``2_000_000``); speculative keys carry whole
-    incident-edge sets, so they are capped separately from the scalar
-    point memo.
 ``REPRO_BATCH_SWEEP_MIN``
     Minimum pending targets per (fault set, source) sub-group before a
     shared sweep is preferred over the pair kernel (default ``16``).
@@ -125,9 +94,7 @@ Environment knobs:
 from __future__ import annotations
 
 import os
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
-
-from repro.core.snapshot_cache import shared_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 UNREACHED = -1
 INF = float("inf")
@@ -334,10 +301,10 @@ class _TreeRepair:
         if sum(self.subtree_size[r] for r in roots) > limit:
             return None  # cheap upper bound (roots may nest, sum ≥ |region|)
         if len(eids) > 3:
-            # Restriction-heavy probes (e.g. the speculative step-3
-            # wave bans whole incident-edge sets) almost always touch
-            # the region, so the clean-family machinery below is pure
-            # overhead for them — search directly.
+            # Restriction-heavy probes (scenario SRLG groups and
+            # maintenance waves, batched through distances_bulk) almost
+            # always touch the region, so the clean-family machinery
+            # below is pure overhead for them — search directly.
             return self._searched(self._region(roots), tuple(eids), targets)
         clean = self._clean.get(roots)
         if clean is None:
@@ -445,54 +412,6 @@ def batching_enabled() -> bool:
     return os.environ.get("REPRO_QUERY_BATCH", "1") != "0"
 
 
-def speculation_enabled() -> bool:
-    """False iff ``REPRO_SPEC_BATCH=0`` — disables the speculative
-    dependency-aware wave (consumers run dependent probes one scalar
-    query at a time, the pre-speculation sequential path)."""
-    return os.environ.get("REPRO_SPEC_BATCH", "1") != "0"
-
-
-#: Default for ``REPRO_SPEC_ROUNDS``: maximum speculative waves per
-#: consumer run.  Wave 1 carries the initial predictions; each later
-#: wave re-predicts the probes of consumers whose dependency moved.
-#: The measured default is ``1``: on the Cons2FTBFS workload the
-#: probes invalidated by a dependency event are answered nearly for
-#: free by the scalar fallback (the restriction usually collapses onto
-#: a memoized key, and the survivors are short memo-adjacent searches),
-#: so re-executing whole tails vectorized costs more than it saves —
-#: raise it only for workloads whose fallback probes are genuinely
-#: expensive.
-DEFAULT_SPEC_ROUNDS = 1
-
-
-def spec_rounds() -> int:
-    """Maximum speculative waves per consumer run
-    (``REPRO_SPEC_ROUNDS``; values below 1 mean one wave)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_SPEC_ROUNDS", DEFAULT_SPEC_ROUNDS)))
-    except ValueError:
-        return DEFAULT_SPEC_ROUNDS
-
-
-#: Default for ``REPRO_SPEC_CACHE_INTS``: weight budget for the
-#: ``spec:*`` cache namespace.  Speculative keys embed whole
-#: incident-edge sets (average degree ints per key), so ~2M ints buys
-#: room for hundreds of thousands of memoized speculative answers
-#: while bounding the namespace to a few dozen MB of key storage.
-DEFAULT_SPEC_CACHE_INTS = 2_000_000
-
-
-def spec_cache_ints() -> int:
-    """Weight budget for the speculative-answer cache namespace
-    (``REPRO_SPEC_CACHE_INTS``)."""
-    try:
-        return int(
-            os.environ.get("REPRO_SPEC_CACHE_INTS", DEFAULT_SPEC_CACHE_INTS)
-        )
-    except ValueError:
-        return DEFAULT_SPEC_CACHE_INTS
-
-
 class QueryHandle:
     """The (future) answer to one planned point query.
 
@@ -535,23 +454,14 @@ class PointQueryBatch:
     subclass): restriction freezing, memo namespace and kernel choice
     all follow the owning oracle, so batched and scalar queries on the
     same oracle family agree on keys and share cached answers.
-
-    ``namespace``/``weight_limit`` override where answers are memoized:
-    the speculative planner routes its wave into the weight-capped
-    ``spec:*`` namespace (each entry weighs its restriction-key size in
-    ints) so speculative keys — which carry whole incident-edge sets —
-    cannot crowd out the scalar point memo.  Execution strategies are
-    identical either way.
     """
 
-    __slots__ = ("_oracle", "_requests", "_executed", "_stats", "_ns", "_weight_limit")
+    __slots__ = ("_oracle", "_requests", "_executed", "_stats")
 
-    def __init__(
-        self, oracle, namespace: Optional[str] = None, weight_limit: int = 0
-    ) -> None:
+    _ns = None  # read by the planner wrapper in perfbench/tracing.py
+
+    def __init__(self, oracle) -> None:
         self._oracle = oracle
-        self._ns = namespace
-        self._weight_limit = weight_limit
         # (source, target, banned_edges, banned_vertices, handle)
         self._requests: List[Tuple] = []
         self._executed = 0
@@ -607,7 +517,6 @@ class PointQueryBatch:
         oracle = self._oracle
         csr = oracle._snapshot()
         cache = oracle._cache
-        ns = self._ns if self._ns is not None else oracle._PT_NS
         limit = oracle._cache_size
         n = csr.n
         st = self._stats
@@ -619,18 +528,7 @@ class PointQueryBatch:
         # feasibility probe) and must stay byte-compatible with
         # DistanceOracle._restriction: sorted resolved edge ids with
         # duplicates kept, sorted deduplicated vertices.
-        nsd = cache.namespace(csr, ns)  # bulk access; bookkeeping below
-        # Override namespaces (the speculative wave) still *read* the
-        # oracle's point memo: a predicted restriction frequently
-        # collapses onto a key the scalar path or an earlier batch
-        # already answered (low-degree targets), and recomputing those
-        # would hand the sequential arm a free memo the speculative arm
-        # doesn't get.  Writes stay in the override namespace (capped).
-        alt = (
-            cache.namespace(csr, oracle._PT_NS)
-            if ns != oracle._PT_NS
-            else None
-        )
+        nsd = cache.namespace(csr, oracle._PT_NS)  # bulk access; bookkeeping below
         eidx = csr.edge_index
         eidx_get = eidx.get
         slot_of: Dict[Tuple, int] = {}
@@ -675,8 +573,6 @@ class PointQueryBatch:
                 slot_of[key] = slot
                 unique.append((source, target, ekey, vkey, key))
                 hit = nsd.get(key)
-                if hit is None and alt is not None:
-                    hit = alt.get(key)
                 if hit is not None:
                     results.append(hit)
                     cache_hits += 1
@@ -712,9 +608,6 @@ class PointQueryBatch:
         # cached on the snapshot.
         groups: Dict[Tuple, List[int]] = {}
         repairs: Dict[int, Optional[_TreeRepair]] = {}
-        # Repair contexts depend only on (snapshot, source), so the
-        # speculative wave shares them with the owning oracle's batches
-        # instead of rebuilding per override namespace.
         repair_ns = "repair:" + oracle._PT_NS
         repair_limit = repair_max_region()
         for (source, ekey, vkey), group_slots in by_restriction.items():
@@ -794,26 +687,9 @@ class PointQueryBatch:
                         results[slot] = d
 
         if misses:
-            if self._weight_limit:
-                # Weight-capped fill (the speculative namespace): each
-                # entry weighs its frozen-restriction key size, so the
-                # cache bounds total key memory, not just entry count.
-                wlimit = self._weight_limit
-                for slot in misses:
-                    _s, _t, ekey, vkey, key = unique[slot]
-                    cache.put(
-                        csr,
-                        ns,
-                        key,
-                        results[slot],
-                        limit=limit,
-                        weight=len(ekey) + len(vkey) + 3,
-                        weight_limit=wlimit,
-                    )
-            else:
-                cache.bulk_evict(nsd, limit)
-                for slot in misses:
-                    nsd[unique[slot][4]] = results[slot]
+            cache.bulk_evict(nsd, limit)
+            for slot in misses:
+                nsd[unique[slot][4]] = results[slot]
 
         out: List[int] = []
         for (_s, _t, _be, _bv, handle), slot in zip(requests, slots):
@@ -904,194 +780,3 @@ class LegacyQueryBatch:
             handle.hops = hops
             out.append(hops)
         return out
-
-
-class SpecHandle:
-    """A speculative probe: the (future) answer plus the dependency
-    token the prediction was made under.
-
-    Handed out by :meth:`SpeculativeBatch.speculate`; the answer is
-    only released through :meth:`SpeculativeBatch.claim`, which checks
-    the token against the caller's live state first.
-    """
-
-    __slots__ = ("handle", "token")
-
-    def __init__(self, handle: QueryHandle, token: Hashable) -> None:
-        self.handle = handle
-        self.token = token
-
-
-class SpeculativeBatch:
-    """Dependency-aware speculative wave over a point-query planner.
-
-    Some feasibility loops cannot be planned upfront because each
-    probe's restriction depends on state the loop itself evolves (the
-    flagship: ``Cons2FTBFS`` step 3, where the restriction subtracts
-    the edges collected *so far* — see
-    :func:`repro.ftbfs.cons2ftbfs.build_cons2ftbfs`).  This planner
-    executes them speculatively anyway:
-
-    1. **Declare** — the consumer walks its candidate space *predicting*
-       each probe's restriction from the current state and registering
-       it via :meth:`speculate`, together with a *dependency token*:
-       any hashable naming the state snapshot the prediction assumed
-       (an epoch counter, a frozenset — the planner only ever compares
-       it for equality).
-    2. **Execute** — one :meth:`execute` resolves the whole wave
-       through the grouped vectorized strategies of
-       :class:`PointQueryBatch` (tree repair, shared sweeps, the
-       cross-query multi-pair kernel), memoizing into the weight-capped
-       ``spec:*`` snapshot-cache namespace.
-    3. **Reconcile** — the consumer replays its sequential control
-       flow; :meth:`claim` releases a speculative answer only while the
-       live token still equals the predicted one, and returns ``None``
-       once the dependency has moved (the caller then issues one scalar
-       query for the *actual* restriction).
-
-    Exactness is unconditional: every speculative answer is an exact
-    distance *for the restriction it was predicted with*, and a stale
-    prediction is discarded rather than adapted — so speculation can
-    only change the execution schedule, never the consumer's output
-    (property-tested by ``tests/test_spec_batch.py``).  Outcomes are
-    counted both locally (:attr:`stats`) and on the process-wide
-    snapshot cache (``spec_planned`` / ``spec_hits`` / ``spec_misses``
-    / ``spec_discards``), which is what ``repro bench`` reports as the
-    per-arm mispredict rate.
-
-    Works over every oracle family: kernel oracles get a
-    :class:`PointQueryBatch` routed into the ``spec:*`` namespace, the
-    legacy python oracle gets its dedupe-only :class:`LegacyQueryBatch`
-    (speculation then reorders scalar queries but stays faithful to
-    per-pair execution, so ``--engine lex`` remains a reference arm).
-    """
-
-    __slots__ = ("_inner", "_counts", "_stats")
-
-    def __init__(self, oracle) -> None:
-        if hasattr(oracle, "_PT_NS"):
-            self._inner = PointQueryBatch(
-                oracle,
-                namespace="spec:" + oracle._PT_NS,
-                weight_limit=spec_cache_ints(),
-            )
-        else:  # legacy python oracle: dedupe-only scalar wave
-            self._inner = oracle.batch()
-        self._counts = shared_cache()
-        self._stats = {
-            "planned": 0,
-            "hits": 0,
-            "stale_hits": 0,
-            "misses": 0,
-            "discards": 0,
-        }
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        """This wave's reconciliation counters: ``planned`` probes,
-        ``hits`` consumed (of which ``stale_hits`` were released by the
-        monotone upper-bound argument of :meth:`consume_stale`),
-        ``misses`` (claims that were never speculated), ``discards``
-        (stale-dependency rejections)."""
-        return dict(self._stats)
-
-    def speculate(
-        self,
-        source: int,
-        target: int,
-        banned_edges: Iterable[Sequence[int]] = (),
-        banned_vertices: Iterable[int] = (),
-        token: Hashable = None,
-    ) -> SpecHandle:
-        """Register one predicted probe under a dependency ``token``."""
-        self._stats["planned"] += 1
-        self._counts.add_stats(spec_planned=1)
-        return SpecHandle(
-            self._inner.add(source, target, banned_edges, banned_vertices),
-            token,
-        )
-
-    def resolved(self, hops: int, token: Hashable = None) -> SpecHandle:
-        """A pre-answered speculative probe under a dependency token.
-
-        For predictions the consumer can resolve from structure it
-        already holds (e.g. a predicted restriction that collapses onto
-        an already-answered probe), costing no traversal at all; the
-        token check at claim time still guards staleness.
-        """
-        self._stats["planned"] += 1
-        self._counts.add_stats(spec_planned=1)
-        return SpecHandle(QueryHandle.resolved(hops), token)
-
-    def execute(self) -> None:
-        """Resolve the speculative wave (grouped, vectorized, memoized)."""
-        self._inner.execute()
-
-    def claim(self, spec: Optional[SpecHandle], token: Hashable) -> Optional[int]:
-        """The speculative raw hops, or ``None`` when the caller must
-        fall back to a scalar query.
-
-        ``None`` means either the probe was never speculated
-        (``spec is None`` — a *miss*) or the live ``token`` no longer
-        equals the predicted one (a *discard*: the dependency the
-        prediction assumed has changed, so the answer — while exact for
-        its predicted restriction — answers the wrong question now).
-        """
-        if spec is None:
-            self._stats["misses"] += 1
-            self._counts.add_stats(spec_misses=1)
-            return None
-        if spec.token != token:
-            self._stats["discards"] += 1
-            self._counts.add_stats(spec_discards=1)
-            return None
-        self._stats["hits"] += 1
-        self._counts.add_stats(spec_hits=1)
-        return spec.handle.hops
-
-    def consume_stale(
-        self, spec: Optional[SpecHandle], expected: int
-    ) -> Optional[int]:
-        """Release a *stale* answer that is still conclusive, else ``None``.
-
-        For consumers with a monotone dependency — the live restriction
-        only ever *shrinks* relative to the predicted one (Cons2FTBFS
-        step 3: the collected set only grows, so the actual ban is a
-        subset of the predicted ban) — a stale answer is an upper bound
-        on the actual one.  When the probe is consumed as an equality
-        test against a known lower bound ``expected``
-        (``expected ≤ actual ≤ stale``), a stale answer *equal* to
-        ``expected`` pins the actual answer exactly and is released as
-        a hit; anything else is inconclusive and discarded (the caller
-        falls back to scalar or re-speculates).  The caller asserts the
-        monotonicity — the planner only applies the interval argument.
-        """
-        if spec is None:
-            self._stats["misses"] += 1
-            self._counts.add_stats(spec_misses=1)
-            return None
-        stale = spec.handle.hops
-        if stale is not None and stale == expected:
-            self._stats["hits"] += 1
-            self._stats["stale_hits"] += 1
-            self._counts.add_stats(spec_hits=1)
-            return stale
-        self._stats["discards"] += 1
-        self._counts.add_stats(spec_discards=1)
-        return None
-
-    def discard_unclaimed(self, count: int) -> None:
-        """Account speculative answers abandoned without a claim.
-
-        Multi-round consumers replace the still-pending handles of a
-        suspended run with re-predictions; the replaced answers were
-        computed but never consumed, which is the same wasted work a
-        rejected claim represents — counted identically so mispredict
-        rates stay honest.
-        """
-        if count > 0:
-            self._stats["discards"] += count
-            self._counts.add_stats(spec_discards=count)

@@ -28,17 +28,9 @@ into one shared :class:`SnapshotCache`:
 * **Accounting.**  ``hits`` / ``misses`` / ``evictions`` counters make
   cache behavior observable (and testable:
   ``tests/test_snapshot_cache.py``); :meth:`SnapshotCache.stats`
-  snapshots them together with the live table sizes.  The speculative
-  planner (:class:`repro.core.query_batch.SpeculativeBatch`) accounts
-  its dependency reconciliation here too — ``spec_hits`` (speculative
-  answers consumed), ``spec_misses`` (probes that were never
-  speculated and fell back to scalar), ``spec_discards`` (answers
-  thrown away because the declared dependency changed underneath
-  them) — so ``repro bench`` can report per-arm mispredict rates.
-  Speculative answers themselves live in a dedicated weight-capped
-  ``spec:*`` namespace (their restriction keys carry whole
-  incident-edge sets, so they are budgeted separately from the scalar
-  point memo; see ``REPRO_SPEC_CACHE_INTS``).
+  snapshots them together with the live table sizes, and the
+  ``delta_*`` counters account cache migration across incremental
+  topology updates (:mod:`repro.core.delta`).
 
 Benchmarks that compare engines on one graph must call
 :meth:`SnapshotCache.clear` between timed arms (see
@@ -84,10 +76,6 @@ class SnapshotCache:
         "misses",
         "evictions",
         "oversize",
-        "spec_planned",
-        "spec_hits",
-        "spec_misses",
-        "spec_discards",
         "delta_survived",
         "delta_evicted",
         "delta_rechecked",
@@ -101,10 +89,6 @@ class SnapshotCache:
         self.misses = 0
         self.evictions = 0
         self.oversize = 0
-        self.spec_planned = 0
-        self.spec_hits = 0
-        self.spec_misses = 0
-        self.spec_discards = 0
         self.delta_survived = 0
         self.delta_evicted = 0
         self.delta_rechecked = 0
@@ -285,9 +269,8 @@ class SnapshotCache:
         The settlement path for bulk consumers: a
         :class:`~repro.core.query_batch.PointQueryBatch` resolves
         thousands of keys against a raw :meth:`namespace` dict and
-        then settles its hit/miss/speculation accounting in one
-        guarded call instead of thousands of unguarded ``+=``
-        attribute updates.
+        then settles its hit/miss accounting in one guarded call
+        instead of thousands of unguarded ``+=`` attribute updates.
         """
         with self._lock:
             for name, delta in deltas.items():
@@ -305,10 +288,6 @@ class SnapshotCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "oversize": self.oversize,
-            "spec_planned": self.spec_planned,
-            "spec_hits": self.spec_hits,
-            "spec_misses": self.spec_misses,
-            "spec_discards": self.spec_discards,
             "delta_survived": self.delta_survived,
             "delta_evicted": self.delta_evicted,
             "delta_rechecked": self.delta_rechecked,
@@ -328,16 +307,12 @@ class SnapshotCache:
             self._weights.clear()
 
     def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction/oversize/speculation counters."""
+        """Zero the hit/miss/eviction/oversize/delta counters."""
         with self._lock:
             self.hits = 0
             self.misses = 0
             self.evictions = 0
             self.oversize = 0
-            self.spec_planned = 0
-            self.spec_hits = 0
-            self.spec_misses = 0
-            self.spec_discards = 0
             self.delta_survived = 0
             self.delta_evicted = 0
             self.delta_rechecked = 0

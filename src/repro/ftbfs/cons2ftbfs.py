@@ -39,48 +39,26 @@ produced structure is byte-identical to the per-pair scalar path —
 set ``REPRO_QUERY_BATCH=0`` to force that path (the E16 benchmark's
 baseline arm).
 
-**Speculative step 3.**  One probe family resisted the plan phase: the
-``d_restricted`` check of step 3 asks ``dist(s, v, G')`` where ``G'``
-bans every edge incident to ``v`` *not yet collected* — and the
-collected set grows as step 3 itself appends new-ending last edges, so
-the probe's restriction depends on the loop's own progress.  The
-builder now pipelines these through a
-:class:`~repro.core.query_batch.SpeculativeBatch`: after steps 1–2 fix
-the initial collected set, every live step-3 pair *predicts* its
-restriction from that state (the dependency token is a per-vertex
-epoch counter that advances whenever step 3 collects a genuinely new
-edge) and one speculative wave resolves them all through the grouped
-vectorized strategies.  Step 3 then replays the paper's sequential
-order, claiming each speculative answer while the epoch still matches
-and falling back to one scalar query once it doesn't.  Predictions
-made before a vertex's first new-ending edge always hold; each such
-event invalidates the vertex's remaining tail, so while events are
-rare, workloads whose events arrive early can still discard a large
-share of the wave (73% on the chords n=1000 benchmark headline — the
-fallbacks stay cheap because their restrictions mostly collapse onto
-memoized keys; the ``speculation`` entry of ``stats`` reports the
-hit/discard counts).
-Mispredicted answers are discarded, never adapted, so the structure is
-byte-identical to the sequential path; ``REPRO_SPEC_BATCH=0`` forces
-that path (the E16 speculative-arm baseline).
+One probe family stays outside the plan phase: the ``d_restricted``
+check of step 3 asks ``dist(s, v, G')`` where ``G'`` bans every edge
+incident to ``v`` *not yet collected* — and the collected set grows as
+step 3 itself appends new-ending last edges, so the probe's
+restriction depends on the loop's own progress.  Step 3 therefore
+issues it as one scalar point query per pair, in the paper's order.
+How many of them the shared snapshot-cache memo answers depends on
+the graph: 96% on ``tree_plus_chords(1000, 300)``, 2% on
+``erdos_renyi(1000, 0.008)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.canonical import INF, UNREACHED
+from repro.core.canonical import INF
 from repro.core.graph import Edge, Graph, normalize_edge
 from repro.core.paths import Path
-from repro.core.query_batch import (
-    QueryHandle,
-    SpecHandle,
-    SpeculativeBatch,
-    batching_enabled,
-    spec_rounds,
-    speculation_enabled,
-)
+from repro.core.query_batch import QueryHandle, batching_enabled
 from repro.ftbfs.structures import FTStructure, make_structure
 from repro.replacement.base import SourceContext
 from repro.replacement.dual import DualReplacement, pid_replacement, pipi_replacement
@@ -152,42 +130,8 @@ def build_cons2ftbfs(
     if batch is not None:
         batch.execute()
 
-    # Speculative wave (see module docstring): with the step-2/3 target
-    # distances in hand, run steps 1-2 for every vertex, predict each
-    # live step-3 d_restricted probe from the post-step-2 collected
-    # set, resolve the whole wave in one grouped execution, then let
-    # step 3 reconcile.  REPRO_SPEC_BATCH=0 (or scalar mode) keeps the
-    # sequential one-pass finish instead.
-    spec = (
-        SpeculativeBatch(ctx.oracle)
-        if batch is not None and speculation_enabled()
-        else None
-    )
-    if spec is not None:
-        partials = [_begin_vertex(ctx, plan, keep_records, spec) for plan in plans]
-        # Multi-round reconciliation: each wave resolves the current
-        # predictions, each vertex replays step 3 until a prediction
-        # breaks (a genuinely new last edge), re-predicts its remaining
-        # probes from the now-current collected set and rejoins the
-        # next wave — one grouped wave per new-edge event instead of a
-        # scalar query per remaining pair.  The final round finishes
-        # stragglers with scalar fallbacks so the loop always ends.
-        pending = partials
-        waves = spec_rounds()
-        while pending:
-            spec.execute()
-            allow_respec = waves > 1
-            waves -= 1
-            pending = [
-                partial
-                for partial in pending
-                if not _advance_step3(ctx, partial, spec, allow_respec)
-            ]
-        finished = [partial.record for partial in partials]
-    else:
-        finished = [_finish_vertex(ctx, plan, keep_records) for plan in plans]
-
-    for record in finished:
+    for plan in plans:
+        record = _finish_vertex(ctx, plan, keep_records)
         v = record.vertex
         edges.update(record.new_edges)
         edges.update(_incident_tree_edges(tree, v))
@@ -211,11 +155,6 @@ def build_cons2ftbfs(
         "fallbacks": total_fallbacks,
         "new_edges_by_phase": phase_counts,
     }
-    if spec is not None:
-        # Reconciliation outcome of the speculative step-3 wave
-        # (planned/hits/misses/discards) — the per-build mispredict
-        # observability `repro bench` aggregates process-wide.
-        stats["speculation"] = spec.stats
     if keep_records:
         stats["records"] = records
     return make_structure(
@@ -308,15 +247,15 @@ def _plan_vertex(ctx: SourceContext, v: int, batch) -> _VertexPlan:
     return _VertexPlan(vertex=v, pi_path=pi_path, singles=singles, pipi=pipi, pid=pid)
 
 
-def _steps_one_two(
+def _finish_vertex(
     ctx: SourceContext, plan: _VertexPlan, keep_records: bool
-) -> Tuple[VertexRecord, Set[Edge], Set[Edge], Set[Edge]]:
-    """Steps 1 and 2 for one target, consuming the batched feasibility
-    distances (the paper's sequential selection logic, unchanged).
+) -> VertexRecord:
+    """Steps 1-3 for one target: the paper's sequential selection logic,
+    consuming the batched feasibility distances.
 
-    Returns ``(record, collected, incident_tree, all_incident)`` — the
-    state step 3 starts from, shared by the sequential finish and the
-    speculative begin/reconcile phases.
+    Every step-3 ``d_restricted`` probe is issued as a scalar point
+    query against the live collected set, exactly in the prescribed
+    pair order.
     """
     v = plan.vertex
     tree = ctx.tree
@@ -354,23 +293,6 @@ def _steps_one_two(
                 # the new-ending census (class A of Fig. 7).
                 record.pipi_records.append(rec)
 
-    return record, collected, incident_tree, all_incident
-
-
-def _finish_vertex(
-    ctx: SourceContext, plan: _VertexPlan, keep_records: bool
-) -> VertexRecord:
-    """Steps 2 and 3 for one target, sequentially (no speculation).
-
-    The reference path: every step-3 ``d_restricted`` probe is issued
-    as a scalar point query against the live collected set, exactly in
-    the prescribed pair order.
-    """
-    record, collected, incident_tree, all_incident = _steps_one_two(
-        ctx, plan, keep_records
-    )
-    v = plan.vertex
-
     # ------------------------------------------------------------------
     # Step 3: one fault on π(s, v), one on its detour, in the
     # prescribed decreasing (e, t) order.
@@ -400,198 +322,6 @@ def _finish_vertex(
 
     record.new_edges = collected - incident_tree
     return record
-
-
-#: Sentinel "handle" for step-3 pairs that are *structurally* satisfied:
-#: when every edge incident to the target is already collected, the
-#: restricted ban collapses onto the fault pair itself — and stays
-#: there, since the collected set only grows — so
-#: ``d_restricted == target`` holds unconditionally and the pair needs
-#: no probe at any epoch.  (The step-3 analogue of the zero-traversal
-#: step-2 certificates; on sparse workloads this covers most pairs.)
-_PRESATISFIED = object()
-
-
-@dataclass
-class _VertexPartial:
-    """One target's state between speculative waves.
-
-    ``pid`` carries step 3's pairs in the prescribed order, each with
-    its precomputed target distance and the
-    :class:`~repro.core.query_batch.SpecHandle` of its speculated
-    ``d_restricted`` probe (``None`` for dead pairs, whose target
-    distance is infinite — they issue no probe at all).  ``pos`` is the
-    replay resume point and ``epoch`` the live dependency token: the
-    number of genuinely new last edges step 3 has collected so far.
-    """
-
-    record: VertexRecord
-    collected: Set[Edge]
-    incident_tree: Set[Edge]
-    all_incident: Set[Edge]
-    pid: List[Tuple[SingleReplacement, Edge, float, Optional[SpecHandle]]]
-    pos: int = 0
-    epoch: int = 0
-
-
-def _begin_vertex(
-    ctx: SourceContext,
-    plan: _VertexPlan,
-    keep_records: bool,
-    spec: SpeculativeBatch,
-) -> _VertexPartial:
-    """Steps 1-2 plus the speculative declaration of step 3's probes.
-
-    Step 3's probe generator: for every live pair ``(e_i, t_j)`` (its
-    batched target distance is finite) the ``d_restricted`` restriction
-    is *predicted* from the post-step-2 collected set — the prediction
-    that step 3 will satisfy pairs without collecting new edges, which
-    holds until the first genuinely new last edge.  The dependency
-    token is epoch ``0``; :func:`_advance_step3` advances its live
-    epoch past it the moment the prediction breaks and re-predicts in
-    the next wave.
-    """
-    record, collected, incident_tree, all_incident = _steps_one_two(
-        ctx, plan, keep_records
-    )
-    v = plan.vertex
-    source = ctx.source
-    base_ban = all_incident - collected
-    pid: List[Tuple[SingleReplacement, Edge, float, Optional[SpecHandle]]] = []
-    for rep, t, handle in plan.pid:
-        target = handle.distance
-        if target == INF:
-            pid.append((rep, t, target, None))
-            continue
-        if not base_ban:
-            pid.append((rep, t, target, _PRESATISFIED))
-            continue
-        handle_spec = spec.speculate(
-            source, v, tuple(base_ban | {rep.fault, t}), token=0
-        )
-        pid.append((rep, t, target, handle_spec))
-    return _VertexPartial(
-        record=record,
-        collected=collected,
-        incident_tree=incident_tree,
-        all_incident=all_incident,
-        pid=pid,
-    )
-
-
-def _advance_step3(
-    ctx: SourceContext,
-    partial: _VertexPartial,
-    spec: SpeculativeBatch,
-    allow_respec: bool,
-) -> bool:
-    """Replay step 3 from the resume point, reconciling one wave.
-
-    Walks the prescribed decreasing pair order; each live pair claims
-    its speculative ``d_restricted`` under the current epoch.  The
-    epoch advances exactly when a pair collects a genuinely new
-    incident edge — the event that changes every later pair's
-    restriction — so claimed answers always equal what the sequential
-    loop would have computed.  On a rejected claim the run either
-    *suspends*: re-predicts every remaining live probe from the
-    now-current collected set and returns ``False`` to rejoin the next
-    wave (``allow_respec``), or falls back to one scalar query against
-    the actual restriction and keeps going (final round).  Returns
-    ``True`` when the vertex is finished; the produced record is
-    bit-identical to :func:`_finish_vertex`.
-    """
-    record = partial.record
-    collected = partial.collected
-    all_incident = partial.all_incident
-    v = record.vertex
-    source = ctx.source
-    pid = partial.pid
-    idx = partial.pos
-    while idx < len(pid):
-        rep, t, target, handle_spec = pid[idx]
-        if target == INF:
-            idx += 1
-            continue
-        if handle_spec is _PRESATISFIED:
-            # Structurally satisfied at any epoch (see _PRESATISFIED).
-            record.satisfied_pairs += 1
-            idx += 1
-            continue
-        if handle_spec is not None and handle_spec.token == partial.epoch:
-            hops = spec.claim(handle_spec, partial.epoch)
-        else:
-            # Stale prediction — but the dependency is monotone: the
-            # collected set only grows, so the actual restriction is a
-            # subset of the predicted one and the stale answer bounds
-            # the actual one from above, while `target` bounds it from
-            # below.  A stale answer equal to target is therefore still
-            # conclusive (the pair is satisfied); anything else falls
-            # through to re-speculation / scalar fallback.
-            hops = spec.consume_stale(handle_spec, int(target))
-        if hops is None:
-            base_ban = all_incident - collected
-            if not base_ban:
-                # The collected set caught up with the whole
-                # neighborhood mid-loop: this and every remaining pair
-                # is structurally satisfied (see _PRESATISFIED) — no
-                # wave needed, keep replaying.
-                wasted = 0
-                for j in range(idx, len(pid)):
-                    rep_j, t_j, target_j, old = pid[j]
-                    if target_j != INF and old is not _PRESATISFIED:
-                        if j > idx:
-                            wasted += 1
-                        pid[j] = (rep_j, t_j, target_j, _PRESATISFIED)
-                spec.discard_unclaimed(wasted)
-                continue
-            if allow_respec:
-                # Suspend: re-predict this and every later live probe
-                # under the new epoch; their abandoned answers count as
-                # discards (computed, never consumed).
-                epoch = partial.epoch
-                wasted = 0
-                for j in range(idx, len(pid)):
-                    rep_j, t_j, target_j, old = pid[j]
-                    if target_j == INF or old is _PRESATISFIED:
-                        continue
-                    if j > idx:
-                        wasted += 1
-                    pid[j] = (
-                        rep_j,
-                        t_j,
-                        target_j,
-                        spec.speculate(
-                            source,
-                            v,
-                            tuple(base_ban | {rep_j.fault, t_j}),
-                            token=epoch,
-                        ),
-                    )
-                spec.discard_unclaimed(wasted)
-                partial.pos = idx
-                return False
-            # Final round: the sequential path's scalar query.
-            restricted_ban = base_ban | {rep.fault, t}
-            d_restricted = ctx.distance(v, banned_edges=restricted_ban)
-        else:
-            d_restricted = INF if hops == UNREACHED else hops
-        if d_restricted == target:
-            record.satisfied_pairs += 1
-            idx += 1
-            continue
-        dual = pid_replacement(ctx, v, rep, t, target=target)
-        if dual is not None:
-            le = dual.path.last_edge()
-            if le not in collected:
-                record.new_from_pid += 1
-                partial.epoch += 1  # every later prediction is now stale
-            collected.add(le)
-            record.new_ending.append(dual)
-        idx += 1
-
-    partial.pos = idx
-    record.new_edges = collected - partial.incident_tree
-    return True
 
 
 def feasibility_probes(

@@ -455,21 +455,6 @@ class QueryServer:
             }
         return info
 
-    def _check(self, source: int, faults: Sequence[Tuple[int, int]]) -> None:
-        # Budget/source validation (FTQueryOracle._check) before the
-        # raw batch planner, which deliberately does not re-check.
-        structure = self.oracle.structure
-        if source not in structure.sources:
-            raise GraphError(
-                f"{source} is not a source of this structure "
-                f"(sources: {structure.sources})"
-            )
-        if len(faults) > structure.max_faults:
-            raise GraphError(
-                f"{len(faults)} faults exceed the structure's budget "
-                f"f={structure.max_faults}"
-            )
-
     def _op_point(self, request: dict) -> dict:
         source = int(request["source"])
         target = int(request["target"])
@@ -485,7 +470,9 @@ class QueryServer:
             source = int(q["source"])
             target = int(q["target"])
             faults = _parse_faults(q.get("faults"))
-            self._check(source, faults)
+            # The raw batch planner does not validate; the oracle's
+            # scalar-path check does.
+            self.oracle._check(source, faults)
             parsed.append((source, target, tuple(faults)))
         with self._qlock:
             batch = self.oracle.query_batch()

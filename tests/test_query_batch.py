@@ -502,17 +502,33 @@ def test_repair_cap_controls_strategy(monkeypatch):
     assert results["0"] == results["100000"]
 
 
+#: Build shapes for the batched-vs-scalar identity check, keyed by test
+#: id prefix (the small default shape has none).  ``er-dense`` has many
+#: step-3 new-ending events, i.e. d_restricted restrictions that shrink
+#: mid-loop.
+CONS2_SHAPES = {
+    "": lambda: tree_plus_chords(40, 18, seed=6),
+    "chords-": lambda: tree_plus_chords(120, 45, seed=6),
+    "er-sparse-": lambda: erdos_renyi(90, 0.05, seed=11),
+    "er-dense-": lambda: erdos_renyi(70, 0.14, seed=3),
+}
+
+
 @pytest.mark.parametrize(
-    "engine",
+    "shape,engine",
     [
-        "lex",
-        "lex-csr",
-        "lex-bulk",
-        pytest.param("lex-c", marks=needs_ckernel),
+        pytest.param(
+            shape,
+            engine,
+            id=shape + engine,
+            marks=needs_ckernel if engine == "lex-c" else (),
+        )
+        for shape in CONS2_SHAPES
+        for engine in ("lex", "lex-csr", "lex-bulk", "lex-c")
     ],
 )
-def test_cons2_builds_identical_with_and_without_batching(engine, monkeypatch):
-    g = tree_plus_chords(40, 18, seed=6)
+def test_cons2_builds_identical_with_and_without_batching(shape, engine, monkeypatch):
+    g = CONS2_SHAPES[shape]()
     structures = {}
     for mode in ("1", "0"):
         monkeypatch.setenv("REPRO_QUERY_BATCH", mode)

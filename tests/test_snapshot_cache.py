@@ -310,7 +310,7 @@ def test_concurrent_add_stats_is_atomic():
 
     def bump():
         for _ in range(kops):
-            cache.add_stats(hits=1, spec_planned=2)
+            cache.add_stats(hits=1, delta_survived=2)
 
     threads = [threading.Thread(target=bump) for _ in range(nthreads)]
     for t in threads:
@@ -318,4 +318,4 @@ def test_concurrent_add_stats_is_atomic():
     for t in threads:
         t.join()
     assert cache.hits == nthreads * kops
-    assert cache.spec_planned == 2 * nthreads * kops
+    assert cache.delta_survived == 2 * nthreads * kops
