@@ -332,11 +332,10 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
 def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
     """Which kernel tier actually served an arm's batched point queries.
 
-    Auto-dispatch (``REPRO_C_KERNEL``, ``REPRO_PAIR_LABELS``,
-    ``REPRO_BULK_MIN_N``) makes the executing tier invisible in the
-    timings, so ``repro bench`` derives it from the bulk kernel's
-    dispatch counters after the build.  Engines that never touch the
-    bulk kernel report their fixed tier.
+    Auto-dispatch (``REPRO_C_KERNEL``, ``REPRO_BULK_MIN_N``) makes the
+    executing tier invisible in the timings, so ``repro bench`` derives
+    it from the bulk kernel's dispatch counters after the build.
+    Engines that never touch the bulk kernel report their fixed tier.
     """
     if engine == "lex":
         return "python (legacy)"
@@ -353,13 +352,7 @@ def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
         served.append("c-mt")
     if stats.get("pairs_c") or stats.get("sweeps_c"):
         served.append("c")
-    if stats.get("pairs_dense"):
-        served.append("numpy-dense")
-    if stats.get("pairs_compact"):
-        served.append("numpy-compact")
-    if stats.get("sweeps_numpy") and not (
-        stats.get("pairs_dense") or stats.get("pairs_compact")
-    ):
+    if stats.get("pairs_dense") or stats.get("sweeps_numpy"):
         served.append("numpy")
     return "+".join(served) if served else "csr"
 
@@ -548,8 +541,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(
                 f"             kernel: {tier} — pairs "
                 f"{ds.get('pairs_c_mt', 0)} c-mt / "
-                f"{ds['pairs_c']} c / {ds['pairs_dense']} dense / "
-                f"{ds['pairs_compact']} compact / "
+                f"{ds['pairs_c']} c / {ds['pairs_dense']} numpy / "
                 f"{ds['pairs_cutover']} cutover; sweep targets "
                 f"{ds['sweeps_c']} c / {ds['sweeps_numpy']} numpy"
             )

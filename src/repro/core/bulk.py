@@ -102,10 +102,10 @@ def kernel_dispatch_stats(graph: Graph, reset: bool = False):
     """Dispatch counters of ``graph``'s cached bulk kernel, or ``None``.
 
     Returns a copy of :attr:`BulkCSRKernel.dispatch_stats` — how many
-    multi-pair queries / sweep targets each kernel tier (C, numpy
-    dense, numpy compact, scalar cutover) actually served — so
-    auto-dispatch decisions are observable after the fact (``repro
-    bench`` and the E16 benchmark report them per arm).  ``reset``
+    multi-pair queries / sweep targets each kernel tier (C, numpy,
+    scalar cutover) actually served — so auto-dispatch decisions are
+    observable after the fact (``repro bench`` and the E16 benchmark
+    report them per arm).  ``reset``
     zeroes the live counters after copying.  ``None`` when the graph
     has no live bulk kernel (pure-python engines never build one).
     """
@@ -185,9 +185,6 @@ class BulkCSRKernel:
         "_mp_last",
         "_mp_eban",
         "_mp_vban",
-        # Pooled unified label table (lazy; see _multi_pair_chunk_compact).
-        "_mp_label",
-        "_mp_dirty",
         # C kernel tier (lazy; see _ckernel) + last stamped restriction
         # (so the C sweep path can re-stamp its own tables) + per-tier
         # dispatch counters (what `repro bench` reports as the kernel
@@ -223,7 +220,6 @@ class BulkCSRKernel:
             # interleaved assignment; sums to pairs_c_mt).
             "pairs_c_mt_threads": {},
             "pairs_dense": 0,
-            "pairs_compact": 0,
             "pairs_cutover": 0,
             "sweeps_c": 0,
             "sweeps_numpy": 0,
@@ -259,8 +255,6 @@ class BulkCSRKernel:
         self._mp_last = None
         self._mp_eban = None
         self._mp_vban = None
-        self._mp_label = None
-        self._mp_dirty = None
 
     # ------------------------------------------------------------------
     # restriction stamping (same contract as CSRGraph)
@@ -641,41 +635,17 @@ class BulkCSRKernel:
             else:
                 self.dispatch_stats["pairs_c"] += len(queries)
             return ck.multi_pair_dists(queries, threads=threads)
-        compact = self._use_compact_labels(queries)
-        try:
-            chunk = int(os.environ.get("REPRO_BATCH_CHUNK", "0"))
-        except ValueError:
-            chunk = 0
-        if chunk <= 0:
-            if compact:
-                # Compact label traffic scales with *live labels*, not
-                # C·n, so chunks can be much larger — more queries
-                # amortizing each round's array dispatch; only the
-                # (sentinel-kept, touched-key-cleared) label table's
-                # allocation bounds the chunk, budgeted at ~64 MB.
-                chunk = min(8192, max(512, (32 << 20) // max(self.n, 1)))
-            else:
-                # Dense chunking keeps the per-(query, side) label
-                # tables cache-friendly — the scalar kernel's n-sized
-                # tables live in L1, and the chunked tables should at
-                # least stay within L2/L3 or the random label gathers
-                # dominate.
-                chunk = max(64, min(2048, (2 << 20) // max(self.n, 1)))
-        if compact:
-            # int32 flat keys must cover 2·chunk·n (see the compact
-            # kernel); the cap is generous (>1M queries at n=1000).
-            chunk = min(chunk, (2**31 - 1) // max(2 * self.n, 1))
+        # Chunking keeps the per-(query, side) label tables
+        # cache-friendly — the scalar kernel's n-sized tables live in
+        # L1, and the chunked tables should at least stay within L2/L3
+        # or the random label gathers dominate.
+        chunk = max(64, min(2048, (2 << 20) // max(self.n, 1)))
         csr = self.csr
         stats = self.dispatch_stats
-        label_tier = "pairs_compact" if compact else "pairs_dense"
         out = []
         for lo in range(0, len(queries), chunk):
             part = queries[lo : lo + chunk]
-            res = (
-                self._multi_pair_chunk_compact(part)
-                if compact
-                else self._multi_pair_chunk(part)
-            )
+            res = self._multi_pair_chunk(part)
             ncut = 0
             for i, d in enumerate(res):
                 if d == _CUTOVER:
@@ -687,7 +657,7 @@ class BulkCSRKernel:
                     ncut += 1
             # Per-tier counters partition the batch: cutover queries
             # were served by the scalar kernel, not the label kernel.
-            stats[label_tier] += len(part) - ncut
+            stats["pairs_dense"] += len(part) - ncut
             stats["pairs_cutover"] += ncut
             out.extend(res)
         return out
@@ -752,402 +722,139 @@ class BulkCSRKernel:
                 seed_visit.append((2 * q + 1) * n + target)
                 seed_vq.extend((2 * q, 2 * q + 1))
                 seed_v.extend((source, target))
-        eban_arr = None
-        if eban_keys:
-            eban_arr = np.array(eban_keys, dtype=np.int64)
-            ebanf[eban_arr] = True
+        eban_arr = np.array(eban_keys, dtype=np.int64) if eban_keys else None
         vban_arr = None
         if vban_keys:
             if self._mp_vban is None or self._mp_vban.size < C * n:
                 self._mp_vban = np.zeros(C * n, dtype=bool)
             vbanf = self._mp_vban  # kept clean: keys are unset on exit
             vban_arr = np.array(vban_keys, dtype=np.int64)
-            vbanf[vban_arr] = True
-        seeds = np.array(seed_visit, dtype=np.int64)
-        visitf[seeds] = True
-        distf[seeds] = 0
-        # Two frontier pools — source balls and target balls — expanded
-        # in strict alternation, so each round touches only the
-        # expanding side's entries and the two radii stay balanced (the
-        # scalar kernel's cost shape); any growth schedule is exact.
-        qarrs = np.array(seed_vq, dtype=np.int32) >> 1
-        varrs = np.array(seed_v, dtype=np.int32)
-        pools = [
-            (qarrs[0::2].copy(), varrs[0::2].copy()),
-            (qarrs[1::2].copy(), varrs[1::2].copy()),
-        ]
-        levels = [0, 0]
-        big = np.iinfo(np.int64).max
-        side = 1
-        # Once only a handful of (typically far-apart) queries remain
-        # pending, per-round array dispatch outweighs the work left —
-        # hand the stragglers back for scalar execution.
-        cutover = max(24, C >> 5)
-        while pools[0][0].size and pools[1][0].size:
-            if min(pools[0][0].size, pools[1][0].size) <= cutover < C:
-                pend = res == PENDING
-                if int(pend.sum()) <= cutover:
-                    res[pend] = _CUTOVER
-                    break
-            side ^= 1  # S first, then strict alternation
-            q_f, v_f = pools[side]
-            levels[side] += 1
-            lev = levels[side]
-            starts = indptr.take(v_f)
-            counts = indptr1.take(v_f)
-            counts -= starts
-            total = int(counts.sum())
-            if total:
-                cum = counts.cumsum()
-                np.subtract(starts, cum, out=starts)
-                starts += counts
-                pos = starts.repeat(counts)
-                pos += self._arange_n(total)
-                targets = nbr.take(pos)
-                q_arc = q_f.repeat(counts)
-                karc = q_arc * (2 * n)  # flat key of ball (q, side)
-                if side:
-                    karc += n
-                karc += targets
-                keep = visitf.take(karc)
-                np.logical_not(keep, out=keep)
-                ekeys = q_arc.astype(np.int64)
-                ekeys *= m
-                ekeys += arc_eid.take(pos)
-                keep &= ~ebanf.take(ekeys)
-                if vbanf is not None:
-                    vkeys = q_arc.astype(np.int64)
-                    vkeys *= n
-                    vkeys += targets
-                    keep &= ~vbanf.take(vkeys)
-                kkeep = karc.compress(keep)
-                k = kkeep.size
-            else:
-                k = 0
-            if k:
-                # Dedupe per (ball, vertex): last occurrence wins (every
-                # discoverer in a round implies the same depth, so no
-                # order-preserving reverse scatter is needed here).
-                idx = self._arange_n(k).astype(np.int32)
-                lastpos[kkeep] = idx
-                is_new = lastpos.take(kkeep) == idx
-                knew = kkeep.compress(is_new)
-                q_new = q_arc.compress(keep).compress(is_new)
-                visitf[knew] = True
-                distf[knew] = lev
-                # Cross-label contact: the sibling ball's flat key is
-                # ±n away.  Its labels are exact whenever written, so a
-                # contacted pair yields the candidate dist_a + 1 + dist_b.
-                kother = knew + (-n if side else n)
-                contact = visitf.take(kother)
-                if contact.any():
-                    cand = distf.take(kother.compress(contact)).astype(np.int64)
-                    cand += lev
-                    round_best = np.full(C, big, dtype=np.int64)
-                    np.minimum.at(round_best, q_new.compress(contact), cand)
-                    hit = round_best < big
-                    res[hit] = round_best[hit]
-                    np.logical_not(contact, out=contact)
-                    q_new = q_new.compress(contact)
-                    knew = knew.compress(contact)
-                v_new = knew - q_new * (2 * n)
-                if side:
-                    v_new -= n
-            else:
-                q_new = q_f[:0]
-                v_new = v_f[:0]
-            # Per-pair early exit: retire queries whose expanded ball
-            # just went extinct (the scalar `while frontier_s and
-            # frontier_t`), then purge resolved/retired queries from
-            # both pools.
-            pending = res == PENDING
-            sizes = np.bincount(q_new, minlength=C)
-            extinct = pending & (sizes == 0)
-            if extinct.any():
-                res[extinct] = UNREACHED
-                pending &= ~extinct
-            if q_new.size:
-                alive = pending.take(q_new)
-                q_new = q_new.compress(alive)
-                v_new = v_new.compress(alive)
-            pools[side] = (q_new, v_new)
-            q_o, v_o = pools[side ^ 1]
-            if q_o.size:
-                alive = pending.take(q_o)
-                pools[side ^ 1] = (q_o.compress(alive), v_o.compress(alive))
-        # Leave the pooled ban tables clean for the next chunk.
-        if eban_arr is not None:
-            ebanf[eban_arr] = False
-        if vban_arr is not None:
-            vbanf[vban_arr] = False
-        res[res == PENDING] = UNREACHED
-        return [int(r) for r in res]
-
-    def _use_compact_labels(self, queries) -> bool:
-        """Whether :meth:`multi_pair_dists` runs on compact labels.
-
-        ``REPRO_PAIR_LABELS``: ``compact`` / ``dense`` force a kernel,
-        ``auto`` (default) dispatches on the measured crossover.  The
-        compact kernel wins where searches run *deep* with *small*
-        restrictions — sparse near-tree graphs (long meets, asymmetric
-        frontiers, so per-query smaller-side growth and label pools
-        sized to live labels pay off; ~15% on the tree-plus-chords
-        feasibility workload).  The dense kernel wins shallow expander
-        workloads (balls meet in 2-3 rounds, so its scatter-table
-        dedupe beats the compact kernel's per-round key sort) and
-        restriction-heavy waves (a handful of banned edges per query
-        makes the sorted ban-key searches pricier than the dense
-        kernel's one-byte ban-table gathers).  The heuristic reads both
-        signals: average degree ≤ 4 (deep regime) and average banned
-        edges per query ≤ 3 (sampled), else dense.
-        """
-        mode = os.environ.get("REPRO_PAIR_LABELS", "auto")
-        if mode == "dense":
-            return False
-        if mode == "compact":
-            return True
-        if self.m > 2 * self.n:
-            return False
-        sample = queries[:256]
-        bans = sum(len(q[2]) + len(q[3]) for q in sample)
-        return bans <= 3 * len(sample)
-
-    def _multi_pair_chunk_compact(self, queries) -> List[int]:
-        """One lock-step chunk over *compact* per-(query, side) labels.
-
-        Same meet-in-the-middle search as :meth:`_multi_pair_chunk` —
-        round-complete candidate minimum, per-pair early exit, scalar
-        tail cutover — with two changes that together close the dense
-        kernel's gap on shallow expander workloads:
-
-        * **Compact labels.**  The dense kernel keeps four ``C``-wide
-          scratch tables (bool visit, int32 dist, int32 dedupe
-          positions, bool per-query edge bans) and touches ~10 bytes of
-          scattered table per scanned arc.  Here exactly *one* table
-          survives: a flat per-(query, side) label table (``int16``
-          where distances fit, key = ``(2q + side)·n + vertex``) whose
-          sentinel ``-1`` means unvisited — one 2-byte gather answers
-          both "seen before?" and, probed at the sibling ball\'s key
-          (``±n``), "contacted at which depth?".  The table keeps its
-          sentinel between chunks (only touched keys are cleared), so
-          traffic scales with live labels, not the allocation.  The
-          other tables dissolve: duplicate discoveries are removed by
-          sorting the round\'s int32 key batch (sort + adjacent diff —
-          any discoverer implies the same depth), and per-query
-          restrictions become sorted ``q·m + eid`` / ``q·n + vertex``
-          key arrays probed with cache-resident binary searches.
-        * **Per-query smaller-side growth.**  The scalar kernel always
-          expands the cheaper frontier; the dense kernel\'s strict side
-          alternation cannot, because its per-round level is global.
-          With per-query levels each query grows whichever of its two
-          balls currently holds fewer frontier vertices, matching the
-          scalar kernel\'s arc budget query by query.
-
-        Exactness is untouched: the argument in
-        :meth:`multi_pair_dists` only uses first-discovery finality and
-        the completed-round minimum — neither depends on which side a
-        query grows when, and a label still enters the table exactly
-        once, at its discovery depth.
-        """
-        C = len(queries)
-        n = self.n
-        m = max(self.eid_cap, 1)  # per-query eid stride, not edge count
-        nbr = self._nbr
-        arc_eid = self._arc_eid
-        indptr = self._indptr
-        indptr1 = self._indptr1
-        two_n = 2 * n
-        need = two_n * C
-        # Pooled unified label table: int16 halves the memory traffic
-        # whenever hop distances fit (they are bounded by n).
-        dtype = np.int16 if n < 32000 else np.int32
-        if (
-            self._mp_label is None
-            or self._mp_label.size < need
-            or self._mp_label.dtype != dtype
-        ):
-            self._mp_label = np.full(need, UNREACHED, dtype=dtype)
-        label = self._mp_label
-        written: List[np.ndarray] = []
-        # Exception safety: a chunk that unwound mid-search (the kernel
-        # is cached per snapshot, so a retry reuses this table) left
-        # its labels behind — scrub them before trusting the sentinel.
-        # Normal exits clean up below and reset the dirty list; stale
-        # indices are always in-bounds even across a reallocation (the
-        # table only grows, and a fresh allocation is already clean).
-        if self._mp_dirty:
-            for keys in self._mp_dirty:
-                label[keys] = UNREACHED
-        self._mp_dirty = written
-        PENDING = -2
-        res = np.full(C, PENDING, dtype=np.int64)
-        seed_keys: List[int] = []
-        seed_q: List[int] = []
-        seed_v: List[int] = []
-        seed_side: List[int] = []
-        eban_keys: List[int] = []
-        vban_keys: List[int] = []
-        for q, (source, target, eids, verts) in enumerate(queries):
-            base_e = q * m
-            for e in eids:
-                eban_keys.append(base_e + e)
-            banned = False
-            if verts:
-                base_v = q * n
-                for v in verts:
-                    vban_keys.append(base_v + v)
-                    banned = banned or v == source or v == target
-            if banned:
-                res[q] = UNREACHED
-            elif source == target:
-                res[q] = 0
-            else:
-                seed_keys.append(q * two_n + source)
-                seed_keys.append(q * two_n + n + target)
-                seed_q.extend((q, q))
-                seed_v.extend((source, target))
-                seed_side.extend((0, 1))
-        eban_arr = (
-            np.sort(np.array(eban_keys, dtype=np.int64)) if eban_keys else None
-        )
-        vban_arr = (
-            np.sort(np.array(vban_keys, dtype=np.int64)) if vban_keys else None
-        )
-        seeds = np.array(seed_keys, dtype=np.int64)
-        label[seeds] = 0
-        written.append(seeds)
-        # One frontier pool of (query, vertex, side) entries; per-query
-        # levels per side.  Every pending query expands exactly one of
-        # its sides per round — the smaller frontier, like the scalar
-        # kernel — so levels are per (query, side), not global.
-        q_all = np.array(seed_q, dtype=np.int32)
-        v_all = np.array(seed_v, dtype=np.int32)
-        s_all = np.array(seed_side, dtype=np.int32)
-        lev = np.zeros(2 * C, dtype=np.int32)  # flat (2q + side)
-        qidx2 = 2 * np.arange(C, dtype=np.int64)
-        big = np.iinfo(np.int64).max
-        cutover = max(24, C >> 5)
-        while q_all.size:
-            pending = res == PENDING
-            npend = int(pending.sum())
-            if npend == 0:
-                break
-            if npend <= cutover < C:
-                res[pending] = _CUTOVER
-                break
-            # Per-query side choice: the smaller current frontier
-            # (ties to the source side, matching the scalar kernel).
-            sizes = np.bincount(2 * q_all + s_all, minlength=2 * C)
-            choose = (sizes[1::2] < sizes[0::2]).astype(np.int32)
-            sel = qidx2 + choose
-            lev[sel] += 1  # harmless for non-pending (purged below)
-            expand = s_all == choose.take(q_all)
-            q_f = q_all.compress(expand)
-            v_f = v_all.compress(expand)
-            q_keep = q_all.compress(~expand)
-            v_keep = v_all.compress(~expand)
-            s_keep = s_all.compress(~expand)
-            knew = None
-            if q_f.size:
+        # The ban tables outlive this call (the kernel is cached per
+        # snapshot), so keys stamped here are cleared in ``finally``: a
+        # search that unwinds mid-round must not leave its restrictions
+        # on whichever later query reuses the slot.
+        try:
+            if eban_arr is not None:
+                ebanf[eban_arr] = True
+            if vban_arr is not None:
+                vbanf[vban_arr] = True
+            seeds = np.array(seed_visit, dtype=np.int64)
+            visitf[seeds] = True
+            distf[seeds] = 0
+            # Two frontier pools — source balls and target balls — expanded
+            # in strict alternation, so each round touches only the
+            # expanding side's entries and the two radii stay balanced (the
+            # scalar kernel's cost shape); any growth schedule is exact.
+            qarrs = np.array(seed_vq, dtype=np.int32) >> 1
+            varrs = np.array(seed_v, dtype=np.int32)
+            pools = [
+                (qarrs[0::2].copy(), varrs[0::2].copy()),
+                (qarrs[1::2].copy(), varrs[1::2].copy()),
+            ]
+            levels = [0, 0]
+            big = np.iinfo(np.int64).max
+            side = 1
+            # Once only a handful of (typically far-apart) queries remain
+            # pending, per-round array dispatch outweighs the work left —
+            # hand the stragglers back for scalar execution.
+            cutover = max(24, C >> 5)
+            while pools[0][0].size and pools[1][0].size:
+                if min(pools[0][0].size, pools[1][0].size) <= cutover < C:
+                    pend = res == PENDING
+                    if int(pend.sum()) <= cutover:
+                        res[pend] = _CUTOVER
+                        break
+                side ^= 1  # S first, then strict alternation
+                q_f, v_f = pools[side]
+                levels[side] += 1
+                lev = levels[side]
                 starts = indptr.take(v_f)
                 counts = indptr1.take(v_f)
                 counts -= starts
                 total = int(counts.sum())
-            else:
-                total = 0
-            if total:
-                cum = counts.cumsum()
-                np.subtract(starts, cum, out=starts)
-                starts += counts
-                pos = starts.repeat(counts)
-                pos += self._arange_n(total)
-                targets = nbr.take(pos)
-                q_arc = q_f.repeat(counts)
-                side_arc = choose.take(q_arc)
-                karc = q_arc * two_n  # int32: chunk cap keeps 2Cn < 2^31
-                karc += side_arc * n
-                karc += targets
-                # The one table gather: unvisited == sentinel.
-                keep = label.take(karc) < 0
-                if eban_arr is not None:
+                if total:
+                    cum = counts.cumsum()
+                    np.subtract(starts, cum, out=starts)
+                    starts += counts
+                    pos = starts.repeat(counts)
+                    pos += self._arange_n(total)
+                    targets = nbr.take(pos)
+                    q_arc = q_f.repeat(counts)
+                    karc = q_arc * (2 * n)  # flat key of ball (q, side)
+                    if side:
+                        karc += n
+                    karc += targets
+                    keep = visitf.take(karc)
+                    np.logical_not(keep, out=keep)
                     ekeys = q_arc.astype(np.int64)
                     ekeys *= m
                     ekeys += arc_eid.take(pos)
-                    loc = eban_arr.searchsorted(ekeys)
-                    np.minimum(loc, eban_arr.size - 1, out=loc)
-                    keep &= eban_arr.take(loc) != ekeys
-                if vban_arr is not None:
-                    vkeys = q_arc.astype(np.int64)
-                    vkeys *= n
-                    vkeys += targets
-                    loc = vban_arr.searchsorted(vkeys)
-                    np.minimum(loc, vban_arr.size - 1, out=loc)
-                    keep &= vban_arr.take(loc) != vkeys
-                kkeep = karc.compress(keep)
-                if kkeep.size:
-                    # Dedupe per (ball, vertex): sort + adjacent diff
-                    # over the surviving int32 keys — any discoverer in
-                    # a round implies the same depth, and no n-wide
-                    # position table is needed.
-                    knew = np.sort(kkeep)
-                    if knew.size > 1:
-                        first = np.empty(knew.size, dtype=bool)
-                        first[0] = True
-                        np.not_equal(knew[1:], knew[:-1], out=first[1:])
-                        knew = knew.compress(first)
-            if knew is not None and knew.size:
-                q_new = knew // two_n
-                side_new = choose.take(q_new)
-                lev_new = lev.take(2 * q_new + side_new)
-                # Cross-label contact: one gather at the sibling
-                # ball\'s key answers contact and depth together.
-                ksib = knew + n - 2 * n * side_new
-                sd = label.take(ksib)
-                label[knew] = lev_new.astype(dtype)
-                written.append(knew)
-                contact = sd >= 0
-                if contact.any():
-                    cand = sd.compress(contact).astype(np.int64)
-                    cand += lev_new.compress(contact)
-                    round_best = np.full(C, big, dtype=np.int64)
-                    np.minimum.at(round_best, q_new.compress(contact), cand)
-                    hit = round_best < big
-                    res[hit] = round_best[hit]
-                    np.logical_not(contact, out=contact)
-                    knew = knew.compress(contact)
-                    q_new = q_new.compress(contact)
-                    side_new = side_new.compress(contact)
-                v_new = knew - q_new * two_n
-                v_new -= side_new * n
-            else:
-                q_new = q_all[:0]
-                v_new = v_all[:0]
-                side_new = s_all[:0]
-            # Per-pair early exit: every pending query expanded, so one
-            # with no surviving new labels just went extinct.
-            pending = res == PENDING
-            sizes = np.bincount(q_new, minlength=C)
-            extinct = pending & (sizes == 0)
-            if extinct.any():
-                res[extinct] = UNREACHED
-                pending &= ~extinct
-            if q_new.size:
-                alive = pending.take(q_new)
-                q_new = q_new.compress(alive)
-                v_new = v_new.compress(alive)
-                side_new = side_new.compress(alive)
-            if q_keep.size:
-                alive = pending.take(q_keep)
-                q_keep = q_keep.compress(alive)
-                v_keep = v_keep.compress(alive)
-                s_keep = s_keep.compress(alive)
-            q_all = np.concatenate((q_keep, q_new))
-            v_all = np.concatenate((v_keep, v_new))
-            s_all = np.concatenate((s_keep, side_new))
-        # Leave the pooled table clean for the next chunk (see above).
-        for keys in written:
-            label[keys] = UNREACHED
-        self._mp_dirty = None
+                    keep &= ~ebanf.take(ekeys)
+                    if vbanf is not None:
+                        vkeys = q_arc.astype(np.int64)
+                        vkeys *= n
+                        vkeys += targets
+                        keep &= ~vbanf.take(vkeys)
+                    kkeep = karc.compress(keep)
+                    k = kkeep.size
+                else:
+                    k = 0
+                if k:
+                    # Dedupe per (ball, vertex): last occurrence wins (every
+                    # discoverer in a round implies the same depth, so no
+                    # order-preserving reverse scatter is needed here).
+                    idx = self._arange_n(k).astype(np.int32)
+                    lastpos[kkeep] = idx
+                    is_new = lastpos.take(kkeep) == idx
+                    knew = kkeep.compress(is_new)
+                    q_new = q_arc.compress(keep).compress(is_new)
+                    visitf[knew] = True
+                    distf[knew] = lev
+                    # Cross-label contact: the sibling ball's flat key is
+                    # ±n away.  Its labels are exact whenever written, so a
+                    # contacted pair yields the candidate dist_a + 1 + dist_b.
+                    kother = knew + (-n if side else n)
+                    contact = visitf.take(kother)
+                    if contact.any():
+                        cand = distf.take(kother.compress(contact)).astype(np.int64)
+                        cand += lev
+                        round_best = np.full(C, big, dtype=np.int64)
+                        np.minimum.at(round_best, q_new.compress(contact), cand)
+                        hit = round_best < big
+                        res[hit] = round_best[hit]
+                        np.logical_not(contact, out=contact)
+                        q_new = q_new.compress(contact)
+                        knew = knew.compress(contact)
+                    v_new = knew - q_new * (2 * n)
+                    if side:
+                        v_new -= n
+                else:
+                    q_new = q_f[:0]
+                    v_new = v_f[:0]
+                # Per-pair early exit: retire queries whose expanded ball
+                # just went extinct (the scalar `while frontier_s and
+                # frontier_t`), then purge resolved/retired queries from
+                # both pools.
+                pending = res == PENDING
+                sizes = np.bincount(q_new, minlength=C)
+                extinct = pending & (sizes == 0)
+                if extinct.any():
+                    res[extinct] = UNREACHED
+                    pending &= ~extinct
+                if q_new.size:
+                    alive = pending.take(q_new)
+                    q_new = q_new.compress(alive)
+                    v_new = v_new.compress(alive)
+                pools[side] = (q_new, v_new)
+                q_o, v_o = pools[side ^ 1]
+                if q_o.size:
+                    alive = pending.take(q_o)
+                    pools[side ^ 1] = (q_o.compress(alive), v_o.compress(alive))
+        finally:
+            if eban_arr is not None:
+                ebanf[eban_arr] = False
+            if vban_arr is not None:
+                vbanf[vban_arr] = False
         res[res == PENDING] = UNREACHED
         return [int(r) for r in res]
 

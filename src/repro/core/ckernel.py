@@ -1,11 +1,11 @@
 """Loader + ctypes wrapper for the compiled C batch kernel (``_ckernel.c``).
 
-The fourth tier of the kernel ladder (python → numpy dense → numpy
-compact → C; see ``docs/kernels.md``): the two batch hot paths of the
-point-query pipeline — :meth:`CKernel.multi_pair_dists` and
+The third tier of the kernel ladder (python → numpy → C; see
+``docs/kernels.md``): the two batch hot paths of the point-query
+pipeline — :meth:`CKernel.multi_pair_dists` and
 :meth:`CKernel.multi_target_dists` — implemented in plain C over the
 same flat CSR arrays every other tier reads.  The C tier removes the
-cost the numpy lock-step kernels cannot: per-round python/array
+cost the numpy lock-step kernel cannot: per-round python/array
 dispatch, which dominates on shallow expander workloads whose searches
 finish in 2-3 rounds.  Results are bit-identical to every other tier
 (same exactness argument, same ban-stamp semantics, same ``-1``

@@ -70,25 +70,16 @@ but ``collected`` — the edge set gathered at ``v`` so far — grows as
 the loop runs, so those probes are issued one at a time as scalar
 queries in the paper's order.
 
-Environment knobs:
+Strategy thresholds are the module constants below
+(:data:`SWEEP_MIN_TARGETS`, :data:`PAIR_MIN` / :data:`PAIR_MIN_C`,
+:data:`REPAIR_MAX_REGION`), read at execution time.
+
+Environment knob:
 
 ``REPRO_QUERY_BATCH``
     ``0`` disables batched execution in the converted builders (they
     fall back to per-pair scalar queries); used by the E16 benchmark to
     time the scalar arm.  Default ``1``.
-``REPRO_BATCH_SWEEP_MIN``
-    Minimum pending targets per (fault set, source) sub-group before a
-    shared sweep is preferred over the pair kernel (default ``16``).
-``REPRO_BATCH_PAIR_MIN``
-    Minimum residual pair count before the cross-query multi-pair
-    kernel is preferred over the pooled scalar loop (default ``24``;
-    ``4`` when the C kernel tier serves the entry point, whose
-    per-batch fixed cost is far smaller — see ``REPRO_C_KERNEL``).
-``REPRO_BATCH_REPAIR_MAX``
-    Per-query region budget for the tree-repair strategy (default
-    ``16``; a k-target group affords a k-times-larger region).
-``REPRO_BATCH_CHUNK``
-    Multi-pair kernel chunk size override (default: cache-driven).
 """
 
 from __future__ import annotations
@@ -99,64 +90,30 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 UNREACHED = -1
 INF = float("inf")
 
-#: Default for ``REPRO_BATCH_SWEEP_MIN`` (see module docstring).  A
-#: shared early-exit sweep costs a few hundred microseconds of
-#: per-level array dispatch, so it needs a sizable target group before
-#: it beats handing the pairs to the cross-query multi-pair kernel
-#: (~15 µs/pair); large groups arise for deep trees and multi-source
-#: workloads, small ones go to the pair kernel.
-DEFAULT_SWEEP_MIN_TARGETS = 16
-#: Default for ``REPRO_BATCH_PAIR_MIN``: minimum residual pair count
-#: before the cross-query multi-pair kernel beats scalar bidirectional
-#: queries (per-chunk numpy fixed costs dominate below it).
-DEFAULT_PAIR_MIN = 24
+#: Minimum pending targets per (fault set, source) sub-group before a
+#: shared sweep is preferred over the pair kernel.  A shared early-exit
+#: sweep costs a few hundred microseconds of per-level array dispatch,
+#: so it needs a sizable target group before it beats handing the
+#: pairs to the cross-query multi-pair kernel (~15 µs/pair); large
+#: groups arise for deep trees and multi-source workloads, small ones
+#: go to the pair kernel.
+SWEEP_MIN_TARGETS = 16
+#: Minimum residual pair count before the cross-query multi-pair kernel
+#: beats scalar bidirectional queries (per-chunk numpy fixed costs
+#: dominate below it).
+PAIR_MIN = 24
 #: The same threshold when the C kernel tier serves the multi-pair
 #: entry point: its per-batch fixed cost is one library call plus a
 #: small marshalling loop, so even tiny residues beat the pooled
 #: python scalar loop.
-DEFAULT_PAIR_MIN_C = 4
-
-
-def sweep_min_targets() -> int:
-    """Pending targets per (fault set, source) sub-group that justify a
-    vectorized shared sweep (``REPRO_BATCH_SWEEP_MIN``)."""
-    try:
-        return int(
-            os.environ.get("REPRO_BATCH_SWEEP_MIN", DEFAULT_SWEEP_MIN_TARGETS)
-        )
-    except ValueError:
-        return DEFAULT_SWEEP_MIN_TARGETS
-
-
-def pair_min(c_active: bool = False) -> int:
-    """Residual pair count that justifies the cross-query multi-pair
-    kernel (``REPRO_BATCH_PAIR_MIN``); the default drops from 24 to 4
-    when the C kernel tier serves the entry point (its per-batch fixed
-    cost is far below a numpy chunk's)."""
-    default = DEFAULT_PAIR_MIN_C if c_active else DEFAULT_PAIR_MIN
-    try:
-        return int(os.environ.get("REPRO_BATCH_PAIR_MIN", default))
-    except ValueError:
-        return default
-
-
+PAIR_MIN_C = 4
 #: Largest affected region the tree-repair fast path will handle before
-#: deferring to the traversal kernels (``REPRO_BATCH_REPAIR_MAX``).
-#: Crossover vs the multi-pair kernel: repair costs ~region·degree list
-#: operations, the kernel ~12 µs/query — small regions win big, large
-#: regions are better traversed.  The budget is per query: a group of k
-#: same-fault-set targets affords a k-times-larger region.
-DEFAULT_REPAIR_MAX_REGION = 16
-
-
-def repair_max_region() -> int:
-    """Region-size cap for the tree-repair executor strategy."""
-    try:
-        return int(
-            os.environ.get("REPRO_BATCH_REPAIR_MAX", DEFAULT_REPAIR_MAX_REGION)
-        )
-    except ValueError:
-        return DEFAULT_REPAIR_MAX_REGION
+#: deferring to the traversal kernels.  Crossover vs the multi-pair
+#: kernel: repair costs ~region·degree list operations, the kernel
+#: ~12 µs/query — small regions win big, large regions are better
+#: traversed.  The budget is per query: a group of k same-fault-set
+#: targets affords a k-times-larger region.
+REPAIR_MAX_REGION = 16
 
 
 class _TreeRepair:
@@ -609,7 +566,6 @@ class PointQueryBatch:
         groups: Dict[Tuple, List[int]] = {}
         repairs: Dict[int, Optional[_TreeRepair]] = {}
         repair_ns = "repair:" + oracle._PT_NS
-        repair_limit = repair_max_region()
         for (source, ekey, vkey), group_slots in by_restriction.items():
             answers = None
             if not vkey and 0 <= source < n:
@@ -629,7 +585,7 @@ class PointQueryBatch:
                     # the affordable region grows with the group size
                     # (the cap is a per-query budget).
                     answers = repair.query_many(
-                        targets, ekey, repair_limit * len(group_slots)
+                        targets, ekey, REPAIR_MAX_REGION * len(group_slots)
                     )
             if answers is not None:
                 for slot, answer in zip(group_slots, answers):
@@ -641,10 +597,9 @@ class PointQueryBatch:
         # -- grouped execution (one stamping per frozen fault set) ----
         kernel = oracle._sweep_kernel(csr)
         vectorized = getattr(kernel, "vectorized", False)
-        min_targets = sweep_min_targets()
         residual: List[int] = []
         for (ekey, vkey), group_slots in groups.items():
-            if len(group_slots) < min_targets:
+            if len(group_slots) < SWEEP_MIN_TARGETS:
                 residual.extend(group_slots)  # too small for any sweep
                 continue
             residual.extend(
@@ -662,7 +617,7 @@ class PointQueryBatch:
             if (
                 vectorized
                 and hasattr(kernel, "multi_pair_dists")
-                and len(residual) >= pair_min(c_active)
+                and len(residual) >= (PAIR_MIN_C if c_active else PAIR_MIN)
             ):
                 queries = [
                     (unique[slot][0], unique[slot][1], unique[slot][2], unique[slot][3])
@@ -714,11 +669,10 @@ class PointQueryBatch:
         by_source: Dict[int, List[int]] = {}
         for slot in group_slots:
             by_source.setdefault(unique[slot][0], []).append(slot)
-        min_targets = sweep_min_targets()
         residual: List[int] = []
         ban = None
         for source, source_slots in by_source.items():
-            if len(source_slots) < min_targets:
+            if len(source_slots) < SWEEP_MIN_TARGETS:
                 residual.extend(source_slots)
                 continue
             if ban is None:  # one stamping serves every sweep

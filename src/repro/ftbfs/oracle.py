@@ -50,7 +50,8 @@ class FTQueryOracle:
     Queries with more faults than the structure's budget are refused
     (:class:`GraphError`) — beyond budget the equality with ``G`` is
     not guaranteed and silently wrong answers would be worse than an
-    error.
+    error.  So are targets outside ``[0, n)``, which would otherwise
+    read as unreachable (or, negative, alias a real vertex).
     """
 
     def __init__(self, structure: FTStructure, engine=None, subgraph=None) -> None:
@@ -119,7 +120,12 @@ class FTQueryOracle:
         )
         return added, removed
 
-    def _check(self, source: int, faults: Sequence[Sequence[int]]) -> None:
+    def _check(
+        self,
+        source: int,
+        faults: Sequence[Sequence[int]],
+        targets: Sequence[int] = (),
+    ) -> None:
         if source not in self.structure.sources:
             raise GraphError(
                 f"{source} is not a source of this structure "
@@ -130,19 +136,26 @@ class FTQueryOracle:
                 f"{len(faults)} faults exceed the structure's budget "
                 f"f={self.max_faults}"
             )
+        n = self._h.n
+        for target in targets:
+            if not 0 <= target < n:
+                raise GraphError(
+                    f"target {target} is not a vertex of this structure "
+                    f"(n={n})"
+                )
 
     def distance(
         self, source: int, target: int, faults: Sequence[Sequence[int]] = ()
     ) -> float:
         """``dist(source, target, H \\ F)`` (``inf`` when disconnected)."""
-        self._check(source, faults)
+        self._check(source, faults, (target,))
         return self._dist.distance(source, target, banned_edges=faults)
 
     def path(
         self, source: int, target: int, faults: Sequence[Sequence[int]] = ()
     ) -> Path:
         """A shortest surviving route inside ``H`` under ``F``."""
-        self._check(source, faults)
+        self._check(source, faults, (target,))
         return self._paths.canonical_path(source, target, banned_edges=faults)
 
     def batch_distances(
@@ -168,7 +181,7 @@ class FTQueryOracle:
         pair) and are element-for-element identical to per-target
         :meth:`distance` calls.
         """
-        self._check(source, faults)
+        self._check(source, faults, targets)
         return self._dist.distances_bulk(
             [(source, t) for t in targets], banned_edges=faults
         )

@@ -472,7 +472,7 @@ class QueryServer:
             faults = _parse_faults(q.get("faults"))
             # The raw batch planner does not validate; the oracle's
             # scalar-path check does.
-            self.oracle._check(source, faults)
+            self.oracle._check(source, faults, (target,))
             parsed.append((source, target, tuple(faults)))
         with self._qlock:
             batch = self.oracle.query_batch()
@@ -568,7 +568,11 @@ class ServeClient:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             address = tuple(address)
         self._sock.settimeout(timeout)
-        self._sock.connect(address)
+        try:
+            self._sock.connect(address)
+        except OSError:
+            self._sock.close()  # a refused connect must not leak the fd
+            raise
 
     def close(self) -> None:
         """Close the connection (idempotent)."""

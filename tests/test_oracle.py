@@ -64,6 +64,19 @@ def test_oracle_rejects_foreign_source():
         oracle.distance(1, 3)
 
 
+def test_oracle_rejects_out_of_range_target():
+    g = erdos_renyi(40, 0.12, seed=9)
+    oracle = FTQueryOracle(build_cons2ftbfs(g, 0))
+    for target in (g.n, 999, -1):
+        with pytest.raises(GraphError, match="not a vertex"):
+            oracle.distance(0, target)
+        with pytest.raises(GraphError, match="not a vertex"):
+            oracle.path(0, target)
+        with pytest.raises(GraphError, match="not a vertex"):
+            oracle.distances_bulk(0, [1, target])
+    assert oracle.distance(0, g.n - 1) < INF
+
+
 def test_oracle_max_faults_property():
     g = erdos_renyi(10, 0.3, seed=7)
     assert FTQueryOracle(build_cons2ftbfs(g, 0)).max_faults == 2

@@ -16,7 +16,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ckernel
+from repro.core import ckernel, query_batch
 from repro.core.bulk import BulkCSRKernel
 from repro.core.canonical import (
     INF,
@@ -269,12 +269,10 @@ def test_multi_target_dists_matches_bidir(monkeypatch):
             assert d == csr.bidir_distance(0, t, ban2)
 
 
-@pytest.mark.parametrize("labels", ["dense", "compact", "auto"])
-def test_multi_pair_label_kernels_match_bidir(labels, monkeypatch):
-    """Both multi-pair label representations (dense scatter tables and
-    compact unified-label pools) are exact, under every ban shape."""
-    monkeypatch.setenv("REPRO_PAIR_LABELS", labels)
-    # C off: the label representations under test are the numpy paths.
+@pytest.mark.parametrize("seed", [5, 6])
+def test_multi_pair_kernel_matches_bidir(seed, monkeypatch):
+    """The numpy multi-pair kernel is exact under every ban shape."""
+    # C off: the kernel under test is the numpy path.
     monkeypatch.setenv("REPRO_C_KERNEL", "off")
     for g in (
         path_graph(40),
@@ -284,7 +282,7 @@ def test_multi_pair_label_kernels_match_bidir(labels, monkeypatch):
         csr = csr_of(g)
         kernel = BulkCSRKernel(csr, min_bulk_n=0)
         edges = sorted(g.edges())
-        rng = random.Random(labels == "dense" and 5 or 6)
+        rng = random.Random(seed)
         queries = []
         for _ in range(90):
             s = rng.randrange(g.n)
@@ -297,7 +295,7 @@ def test_multi_pair_label_kernels_match_bidir(labels, monkeypatch):
         got = kernel.multi_pair_dists(queries)
         for (s, t, eids, verts), d in zip(queries, got):
             ban = csr.stamp_edge_ids(eids, verts)
-            assert d == csr.bidir_distance(s, t, ban), (labels, g.n)
+            assert d == csr.bidir_distance(s, t, ban), (seed, g.n)
 
 
 def test_multi_pair_dists_matches_bidir_including_cutover(monkeypatch):
@@ -322,6 +320,39 @@ def test_multi_pair_dists_matches_bidir_including_cutover(monkeypatch):
         for (s, t, eids, verts), d in zip(queries, got):
             ban = csr.stamp_edge_ids(eids, verts)
             assert d == csr.bidir_distance(s, t, ban)
+
+
+def test_multi_pair_unwind_leaves_no_bans_behind(monkeypatch):
+    """A batch that raises mid-round must not leak its ban keys: the
+    kernel is cached per snapshot, so its pooled ban tables serve every
+    later batch."""
+    monkeypatch.setenv("REPRO_C_KERNEL", "off")
+    g = erdos_renyi(60, 0.2, seed=3)
+    csr = csr_of(g)
+    kernel = BulkCSRKernel(csr, min_bulk_n=0)
+    # Query 0 bans every edge at its source, query 1 every neighbor of
+    # its source, so a leaked key on either table cuts the pair.  The
+    # vertex-ban table is only read by batches that ban some vertex,
+    # hence query 2; both batches have three queries so the second one
+    # reuses the first one's tables.
+    cut_edges = sorted(csr.resolve_edge_ids((0, w) for w in g.neighbors(0)))
+    cut_verts = sorted(g.neighbors(1))
+    poisoned = [(0, 59, cut_edges, []), (1, 58, [], cut_verts), (2, 57, [], [])]
+    clean = [(0, 59, [], []), (1, 58, [], []), (2, 57, [], [30])]
+    want = [
+        csr.bidir_distance(s, t, csr.stamp_edge_ids(eids, verts))
+        for s, t, eids, verts in clean
+    ]
+    assert -1 not in want
+
+    def out_of_memory(self, k):
+        raise MemoryError("injected inside the round loop")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BulkCSRKernel, "_arange_n", out_of_memory)
+        with pytest.raises(MemoryError, match="injected"):
+            kernel.multi_pair_dists(poisoned)
+    assert kernel.multi_pair_dists(clean) == want
 
 
 def _mixed_queries(g, csr, rng, count):
@@ -398,7 +429,6 @@ def test_c_kernel_fallback_lands_on_numpy(monkeypatch):
     # scalar-served lock-step tail
     assert (
         kernel.dispatch_stats["pairs_dense"]
-        + kernel.dispatch_stats["pairs_compact"]
         + kernel.dispatch_stats["pairs_cutover"]
         == len(queries)
     )
@@ -478,7 +508,7 @@ def test_repair_cap_controls_strategy(monkeypatch):
     reqs = None
     results = {}
     for cap in ("0", "100000"):
-        monkeypatch.setenv("REPRO_BATCH_REPAIR_MAX", cap)
+        monkeypatch.setattr(query_batch, "REPAIR_MAX_REGION", int(cap))
         oracle = forced_bulk_oracle(g)
         rng = random.Random(3)
         if reqs is None:

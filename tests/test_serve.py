@@ -156,6 +156,17 @@ class TestEndpoints:
                 faults=[[1, 2], [3, 4], [5, 6]],
             )
             assert not resp["ok"] and "budget" in resp["error"]
+            n = structure.graph.n
+            for target in (n, 999, -1):
+                batch = [{"source": 0, "target": 1}, {"source": 0, "target": target}]
+                for op, fields in (
+                    ("point", {"source": 0, "target": target}),
+                    ("path", {"source": 0, "target": target}),
+                    ("batch", {"queries": batch}),
+                ):
+                    resp = client.request(op, **fields)
+                    assert resp["error_type"] == "GraphError", (op, target)
+                    assert "not a vertex" in resp["error"]
             resp = client.request("explode")
             assert resp["error_type"] == "ProtocolError"
             resp = client.request("point", source=0)  # missing target
