@@ -17,10 +17,11 @@ ways, cold-cache each time:
   go through one :class:`~repro.core.query_batch.PointQueryBatch`
   execution (tree-repair fast path, shared sweeps, cross-query
   multi-pair kernel on the numpy label tables);
-* *batched (lex-c)* — the identical pipeline under the ``lex-c``
-  oracle, whose multi-pair and shared-sweep strategies execute in the
-  compiled C kernel (skipped, and recorded as such, on hosts where the
-  C kernel cannot load);
+* *batched (C)* — the identical pipeline under the same ``lex-bulk``
+  oracle with ``REPRO_C_KERNEL=on``, so its multi-pair and
+  shared-sweep strategies must execute in the compiled C kernel
+  (skipped, and recorded as such, on hosts where the C kernel cannot
+  load);
 * *per-pair scalar* — the identical probes looped through scalar
   ``oracle.distance`` point queries (the pre-batch code path, i.e.
   ``REPRO_QUERY_BATCH=0``'s behavior).
@@ -105,7 +106,6 @@ from _common import (
 )
 
 BATCH_ENGINE = "lex-bulk"
-C_ENGINE = "lex-c"
 
 
 @contextlib.contextmanager
@@ -186,10 +186,6 @@ def test_e16_feasibility_workload(benchmark):
         n = n if n is not None else g.n  # topo workloads resolve n late
         shared_cache().clear()
         ctx = SourceContext(g, 0, BATCH_ENGINE)
-        # The C arm answers the *same* probes through the lex-c oracle
-        # (separate memo namespace, C-served strategies); probes are
-        # engine-invariant, so step 1 runs once.
-        ctx_c = SourceContext(g, 0, C_ENGINE) if have_c else None
         probes = feasibility_probes(ctx)  # runs step 1 once (untimed)
         best_b = best_s = best_c = float("inf")
         stats = stats_c = None
@@ -200,15 +196,18 @@ def test_e16_feasibility_workload(benchmark):
                 elapsed, certified, stats = _time_batched(ctx, probes)
                 dispatch["numpy"] = kernel_dispatch_stats(g)
             best_b = min(best_b, elapsed)
-            if ctx_c is not None:
+            if have_c:
+                # The same probes through the same oracle with C
+                # required; _time_batched clears the cache per arm, so
+                # neither arm sees the other's answers.
                 with _c_kernel("on"):
                     kernel_dispatch_stats(g, reset=True)
-                    elapsed, _, stats_c = _time_batched(ctx_c, probes)
+                    elapsed, _, stats_c = _time_batched(ctx, probes)
                     dispatch["c"] = kernel_dispatch_stats(g)
                 best_c = min(best_c, elapsed)
             best_s = min(best_s, _time_scalar(ctx, probes))
         speedup = best_s / best_b
-        speedup_c = best_s / best_c if ctx_c is not None else None
+        speedup_c = best_s / best_c if have_c else None
         label = workload_label(kind, n, arg)
         rows.append(
             [
@@ -217,8 +216,8 @@ def test_e16_feasibility_workload(benchmark):
                 f"{1000.0 * best_s:.1f}",
                 f"{1000.0 * best_b:.1f}",
                 f"{speedup:.2f}x",
-                f"{1000.0 * best_c:.1f}" if ctx_c is not None else "n/a",
-                f"{speedup_c:.2f}x" if ctx_c is not None else "n/a",
+                f"{1000.0 * best_c:.1f}" if have_c else "n/a",
+                f"{speedup_c:.2f}x" if have_c else "n/a",
             ]
         )
         entries.append(
@@ -232,10 +231,10 @@ def test_e16_feasibility_workload(benchmark):
                 "batched_seconds": best_b,
                 "scalar_seconds": best_s,
                 "speedup": speedup,
-                "c_seconds": best_c if ctx_c is not None else None,
+                "c_seconds": best_c if have_c else None,
                 "speedup_c": speedup_c,
                 "c_vs_numpy": (
-                    best_b / best_c if ctx_c is not None else None
+                    best_b / best_c if have_c else None
                 ),
                 "executor_stats": stats,
                 "executor_stats_c": stats_c,
@@ -251,15 +250,15 @@ def test_e16_feasibility_workload(benchmark):
             "per-pair (ms)",
             "numpy (ms)",
             "speedup",
-            "lex-c (ms)",
+            "C (ms)",
             "speedup",
         ],
         rows,
     )
     body += (
         "\nCons2FTBFS step-2/3 feasibility probes answered via the "
-        "\nbatched pipeline (numpy arm: REPRO_C_KERNEL=off; lex-c arm: "
-        "\nthe C multi-pair kernel) vs per-pair scalar oracle.distance; "
+        "\nbatched pipeline (numpy arm: REPRO_C_KERNEL=off; C arm: "
+        "\nREPRO_C_KERNEL=on) vs per-pair scalar oracle.distance; "
         f"\nbest of {_rounds()} rounds, snapshot cache cleared per arm."
     )
     emit("E16", "batched feasibility checks vs per-pair scalar", body)
@@ -269,7 +268,7 @@ def test_e16_feasibility_workload(benchmark):
         {
             "experiment": "e16_query_batch",
             "engine": BATCH_ENGINE,
-            "c_engine": C_ENGINE if have_c else None,
+            "c_engine": BATCH_ENGINE if have_c else None,
             "rounds": _rounds(),
             "workloads": entries,
             "headline": headline,

@@ -29,9 +29,10 @@ framing) three ways: *scalar* — one ``point`` request per query on
 the default engine; *batched (numpy)* — the same queries in one
 ``batch`` frame on ``lex-bulk`` (the
 :class:`~repro.core.query_batch.PointQueryBatch` pipeline with C
-dispatch pinned off); *batched (lex-c)* — the same frame on ``lex-c``
-(compiled multi-pair kernel; skipped and recorded as such where the C
-kernel cannot load).  All arms must return byte-identical hop vectors.
+dispatch pinned off); *batched (C)* — the same frame on ``lex-bulk``
+with ``REPRO_C_KERNEL=on`` (compiled multi-pair kernel; skipped and
+recorded as such where the C kernel cannot load).  All arms must
+return byte-identical hop vectors.
 
 **Bytes per artifact.**  File size per rung, plus bytes per structure
 edge — the memory-per-artifact axis a build-once/serve-everywhere
@@ -64,7 +65,6 @@ from repro.serve import QueryServer, ServeClient
 from _common import RESULTS_DIR, cold_cache, emit, emit_json, table
 
 BATCH_ENGINE = "lex-bulk"
-C_ENGINE = "lex-c"
 
 
 def _sizes():
@@ -222,7 +222,7 @@ def test_e17_serve(benchmark):
         assert hops_np == hops_scalar  # bit-identity across served arms
         t_c = None
         if have_c:
-            t_c, hops_c = _served_arm(artifact, C_ENGINE, queries, "on")
+            t_c, hops_c = _served_arm(artifact, BATCH_ENGINE, queries, "on")
             assert hops_c == hops_scalar
         _close_quietly(artifact)
         path.unlink()
@@ -273,7 +273,8 @@ def test_e17_serve(benchmark):
     )
     note = (
         "served arms: scalar point frames (default engine) vs one batch "
-        "frame (lex-bulk / lex-c); identical hop vectors asserted"
+        "frame (lex-bulk, C dispatch off / on); identical hop vectors "
+        "asserted"
     )
     emit("E17", "precompute-and-serve (artifact load, served QPS)", body + "\n" + note)
     emit_json(

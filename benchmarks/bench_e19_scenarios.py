@@ -23,10 +23,9 @@ Environment knobs (used by CI's smoke run):
     ``benchmarks/topologies/``).
 ``REPRO_E19_ENGINES``
     Comma list of engines, or ``all`` for every hop engine (default
-    ``lex-csr`` plus ``lex-c`` when the C kernel loads); engines this
-    host cannot run are skipped and recorded as such.  The weighted
-    family is excluded from ``all`` — its distance bodies are not
-    comparable to hop bodies (E20 sweeps it separately).
+    ``lex-csr,lex-bulk``); an unknown engine name fails the run.  The
+    weighted family is excluded from ``all`` — its distance bodies are
+    not comparable to hop bodies (E20 sweeps it separately).
 ``REPRO_BENCH_ROUNDS``
     Best-of rounds per timed arm (default 2).
 """
@@ -35,8 +34,7 @@ import os
 import pathlib
 import time
 
-from repro.core.canonical import ENGINES, make_engine
-from repro.core.errors import GraphError
+from repro.core.canonical import ENGINES
 from repro.core.scenario import (
     assert_identical_reports,
     load_blueprint,
@@ -57,29 +55,19 @@ def _blueprints():
     return sorted(TOPOLOGIES_DIR.glob("*.json"))
 
 
-def _engines(graph):
+def _engines():
     spec = os.environ.get("REPRO_E19_ENGINES", "").strip()
     if spec == "all":
         # Hop engines only: weighted-family bodies are not comparable
         # to hop bodies, so they would fail the cross-arm identity
         # assertion by construction (E20 sweeps the weighted family).
-        wanted = [
+        return [
             e for e in sorted(ENGINES)
             if not getattr(ENGINES[e], "weighted", False)
         ]
-    elif spec:
-        wanted = [e.strip() for e in spec.split(",") if e.strip()]
-    else:
-        wanted = ["lex-csr", "lex-c"]
-    available, skipped = [], []
-    for engine in wanted:
-        try:
-            make_engine(graph, engine)
-        except GraphError as err:
-            skipped.append((engine, str(err)))
-            continue
-        available.append(engine)
-    return available, skipped
+    if spec:
+        return [e.strip() for e in spec.split(",") if e.strip()]
+    return ["lex-csr", "lex-bulk"]
 
 
 def _rounds():
@@ -93,9 +81,8 @@ def test_e19_scenario_corpus(benchmark):
     first = None
     for path in _blueprints():
         blueprint = load_blueprint(path)
-        topo = blueprint.topology()
-        engines, skipped = _engines(topo.graph)
-        assert engines, f"no requested engine available for {path.name}"
+        engines = _engines()
+        assert engines, "REPRO_E19_ENGINES names no engine"
         reports = []
         labels = []
         arms = {}
@@ -141,7 +128,6 @@ def test_e19_scenario_corpus(benchmark):
             "name": blueprint.name,
             "signature": report_signature(reports[0]),
             "engines": engines,
-            "skipped_engines": skipped,
             "arms": {
                 engine: {
                     "fresh_seconds": arms[engine]["fresh"],

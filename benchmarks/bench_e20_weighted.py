@@ -1,14 +1,13 @@
-"""E20 — weighted engine family: Dial-vs-heap ladder + weighted Abilene sweep.
+"""E20 — weighted engine family: engine ladder + weighted Abilene sweep.
 
 PR 10 added the weighted + ECMP engine family (``wlex`` / ``wlex-csr``,
 see ``docs/weighted.md``).  This benchmark persists two things:
 
-* **Dial-vs-heap ladder** — full-search wall time per engine arm on
-  random weighted graphs under each weighting kind: tie-heavy small
+* **Dial-or-reference ladder** — full-search wall time per engine arm
+  on random weighted graphs under each weighting kind: tie-heavy small
   integers (``wlex-csr`` runs its Dial bucket queue), big integers and
-  floats (heap fallback).  On the tie-int rungs a third arm forces the
-  CSR engine's heap on the same graph, isolating the queue-discipline
-  cost; every arm's search results are asserted bit-identical before
+  floats (``wlex-csr`` runs the reference heap search inside its
+  memo).  Every arm's search results are asserted bit-identical before
   any timing is trusted.
 * **Weighted Abilene sweep** — the ``abilene_weighted.json`` corpus
   blueprint (real Abilene link delays) swept per weighted engine and
@@ -76,12 +75,6 @@ def _source_count():
     return max(1, int(os.environ.get("REPRO_E20_SOURCES", "24")))
 
 
-def _forced_heap(graph):
-    engine = CSRWeightedShortestPaths(graph, cache=SnapshotCache())
-    engine._use_dial = False
-    return engine
-
-
 def _arm_factories(graph):
     """Per-arm engine factories for one rung.
 
@@ -90,15 +83,12 @@ def _arm_factories(graph):
     CSR engine would answer round two from its snapshot-cache memo
     while the reference arm recomputes, fabricating a huge "speedup".
     """
-    factories = {
+    return {
         "wlex": lambda: WeightedLexShortestPaths(graph),
         "wlex-csr": lambda: CSRWeightedShortestPaths(
             graph, cache=SnapshotCache()
         ),
     }
-    if CSRWeightedShortestPaths(graph, cache=SnapshotCache())._use_dial:
-        factories["wlex-csr/heap"] = lambda: _forced_heap(graph)
-    return factories
 
 
 def _time_arm(factory, sources, rounds):
@@ -142,15 +132,14 @@ def test_e20_weighted_family(benchmark):
             timings = {}
             for label, factory in factories.items():
                 timings[label] = _time_arm(factory, sources, rounds)
-            queue = "dial" if "wlex-csr/heap" in timings else "heap"
+            csr = CSRWeightedShortestPaths(graph, cache=SnapshotCache())
+            queue = "dial" if csr._use_dial else "reference"
             for label, seconds in timings.items():
                 rows.append([
                     f"er n={n}",
                     kind,
                     label,
-                    queue if label == "wlex-csr" else (
-                        "heap" if label.endswith("heap") else "-"
-                    ),
+                    queue if label == "wlex-csr" else "-",
                     f"{1000.0 * seconds:.1f}",
                     f"{timings['wlex'] / seconds:.2f}x" if seconds else "n/a",
                 ])
@@ -163,10 +152,6 @@ def test_e20_weighted_family(benchmark):
                 "csr_vs_reference": (
                     timings["wlex"] / timings["wlex-csr"]
                     if timings["wlex-csr"] else None
-                ),
-                "dial_vs_heap": (
-                    timings["wlex-csr/heap"] / timings["wlex-csr"]
-                    if timings.get("wlex-csr/heap") else None
                 ),
             })
 
@@ -205,11 +190,14 @@ def test_e20_weighted_family(benchmark):
     )
     body_txt += (
         "\nladder: full searches from the source set, best-of rounds, every"
-        "\narm asserted bit-identical to wlex first; wlex-csr/heap = the CSR"
-        "\nengine with its Dial queue disabled on the same graph.  abilene:"
-        "\nthe weighted corpus sweep, fresh-arm ms with fresh/delta ratio."
+        "\narm asserted bit-identical to wlex first; queue = what wlex-csr"
+        "\nran (Dial, or the reference search).  abilene: the weighted"
+        "\ncorpus sweep, fresh-arm ms with fresh/delta ratio."
     )
-    emit("E20", "weighted engine family (Dial-vs-heap + Abilene delays)", body_txt)
+    emit(
+        "E20", "weighted engine family (Dial-or-reference + Abilene delays)",
+        body_txt,
+    )
     emit_json(
         "e20",
         {

@@ -13,10 +13,11 @@ Dependency policy:
   The library degrades gracefully without it (the pure-python kernels
   keep working and ``lex-bulk`` simply is not registered), but an
   installed package should have its fast path available.
-* The C batch kernel (``repro/core/_ckernel.c``, the ``lex-c`` tier)
-  builds as an *optional* extension: hosts without a working compiler
-  install cleanly — setuptools downgrades the build failure to a
-  warning — and the library falls back to the numpy/python kernels
+* The C batch kernel (``repro/core/_ckernel.c``, which ``lex-bulk``
+  dispatches its point-query batches to) builds as an *optional*
+  extension: hosts without a working compiler install cleanly —
+  setuptools downgrades the build failure to a warning — and the
+  library falls back to the numpy/python kernels
   (``repro.core.ckernel`` can also compile the same source on demand
   in source checkouts, so an installed extension is a convenience,
   not a requirement).

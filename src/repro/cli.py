@@ -24,11 +24,10 @@ redirect every relative output path (structures, artifacts, ``bench
 Engines (``--engine``): ``lex-csr`` (default; flat-array CSR kernel),
 ``lex-bulk`` (vectorized numpy bulk kernel — whole-frontier expansion,
 bit-identical results, fastest on large graphs; available when numpy
-is installed), ``lex-c`` (the numpy kernel with its batched point
-queries running in the compiled C kernel — the top of the kernel
-ladder, see ``docs/kernels.md``; requires a working C compiler or the
-prebuilt extension, and errors clearly otherwise), ``lex`` (legacy
-layered reference), ``perturbed`` (paper-literal randomized weights),
+is installed; its batched point queries run in the compiled C kernel
+whenever it loads, and ``REPRO_C_KERNEL=on`` makes that a requirement
+— see ``docs/kernels.md``), ``lex`` (legacy layered reference),
+``perturbed`` (paper-literal randomized weights),
 plus the weighted family ``wlex`` / ``wlex-csr`` (deterministic
 Dijkstra over real edge weights with an ECMP query surface — see
 ``docs/weighted.md``).  The weighted engines compute weighted
@@ -39,10 +38,9 @@ to sweep them (uniform-weight graphs then reproduce the lex bodies
 bit-for-bit).
 Builders answer their feasibility point queries through the batched
 plan→dedupe→execute pipeline of :mod:`repro.core.query_batch`
-(vectorized multi-pair execution under ``lex-bulk``/``lex-c``; set
+(vectorized multi-pair execution under ``lex-bulk``; set
 ``REPRO_QUERY_BATCH=0`` to force per-pair scalar queries).  ``bench
---engine all`` times every engine on the same workload (skipping
-engines this host cannot run, e.g. ``lex-c`` without a compiler) and
+--engine all`` times every hop engine on the same workload and
 reports speedups against the legacy ``lex`` engine, the kernel tier
 that actually served each arm's batched queries (auto-dispatch is
 otherwise invisible — ``REPRO_C_KERNEL=auto`` accelerates ``lex-bulk``
@@ -84,7 +82,7 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.artifact import is_artifact, load_artifact, save_artifact
-from repro.core.canonical import DEFAULT_ENGINE, ENGINES, make_engine
+from repro.core.canonical import DEFAULT_ENGINE, ENGINES
 from repro.core.errors import GraphError, ReproError, VerificationError
 from repro.core.graph import Graph
 from repro.core.io import load_graph, load_structure, resolve_out, save_structure
@@ -342,7 +340,7 @@ def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
     if engine == "wlex":
         return "python (weighted heap)"
     if engine == "wlex-csr":
-        return "csr (weighted dial/heap)"
+        return "csr (weighted dial; reference heap otherwise)"
     if engine in ("lex-csr", "perturbed"):
         return "csr"
     if not stats or not any(stats.values()):
@@ -365,9 +363,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     directory.  Reports best-of-``--rounds`` wall times, the speedup
     relative to the legacy ``lex`` engine when it is included, and the
     kernel tier that actually served each arm's batched point queries.
-    With ``--engine all``, engines this host cannot run (``lex-c``
-    without a compiler or prebuilt extension) are reported and skipped
-    instead of failing the whole comparison.
 
     ``--sources K`` switches the timed workload to a σ=K FT-MBFS
     build (sources ``0..K-1``), the unit :mod:`repro.core.parallel`
@@ -436,18 +431,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         size = None
         cache_stats = None
         tier_stats = None
-        if args.engine == "all":
-            # `all` means "everything this host can run": an engine
-            # tier whose *construction* fails (lex-c without a
-            # compiler) is reported and skipped, not fatal.  Only the
-            # availability probe is guarded — a GraphError raised by
-            # the timed build itself (bad source, builder errors) is a
-            # real error and must keep failing the command.
-            try:
-                make_engine(graph, engine)
-            except GraphError as err:
-                results.append({"engine": engine, "unavailable": str(err)})
-                continue
         for _ in range(rounds):
             # Cold-cache timing: without this, later engines would be
             # served from earlier engines' shared snapshot-cache entries
@@ -511,12 +494,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             }
         )
     baseline = next(
-        (
-            r["seconds"]
-            for r in results
-            if r["engine"] == "lex" and "seconds" in r
-        ),
-        None,
+        (r["seconds"] for r in results if r["engine"] == "lex"), None
     )
     workload = f"σ={sigma} sources, " if sigma > 1 else ""
     print(
@@ -524,9 +502,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"({workload}best of {rounds} rounds)"
     )
     for r in results:
-        if "unavailable" in r:
-            print(f"  {r['engine']:<10s} unavailable: {r['unavailable']}")
-            continue
         speedup = (
             f"{baseline / r['seconds']:6.2f}x vs lex" if baseline else ""
         )
@@ -603,11 +578,10 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     differential contract — every arm's deterministic report body must
     be bit-identical — and prints per-scenario replacement-path
     stretch, affected/disconnected pair counts and structural delta
-    cost.  ``--engine all`` covers every engine this host can run
-    (``lex-c`` without a compiler is skipped with a note, exactly like
-    ``repro bench``); ``--mode both`` (the default) runs fresh-build
-    and ``apply_delta`` arms.  ``--json`` writes the merged report
-    (one deterministic body + one volatile ``runs`` block per arm).
+    cost.  ``--engine all`` covers every hop engine; ``--mode both``
+    (the default) runs fresh-build and ``apply_delta`` arms.
+    ``--json`` writes the merged report (one deterministic body + one
+    volatile ``runs`` block per arm).
     """
     import json
 
@@ -622,17 +596,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
     blueprint = load_blueprint(args.blueprint)
     topo = blueprint.topology()
-    if args.engine == "all":
-        engines = []
-        for engine in _hop_engines():
-            try:
-                make_engine(topo.graph, engine)
-            except GraphError as err:
-                print(f"skipping {engine}: {err}")
-                continue
-            engines.append(engine)
-    else:
-        engines = [args.engine]
+    engines = _hop_engines() if args.engine == "all" else [args.engine]
     modes = ("fresh", "delta") if args.mode == "both" else (args.mode,)
     reports = []
     labels = []
@@ -882,8 +846,8 @@ def make_parser() -> argparse.ArgumentParser:
         choices=sorted(ENGINES) + ["all"],
         default="all",
         help=(
-            "engine to sweep, or 'all' (default) to run every engine "
-            "this host supports and assert differential identity"
+            "engine to sweep, or 'all' (default) to run every hop "
+            "engine and assert differential identity"
         ),
     )
     p_scenarios.add_argument(

@@ -18,8 +18,6 @@ from repro.core.canonical import (
     UNREACHED,
     BulkDistanceOracle,
     BulkLexShortestPaths,
-    CDistanceOracle,
-    CLexShortestPaths,
     CSRLexShortestPaths,
     DistanceOracle,
     LexShortestPaths,
@@ -91,8 +89,6 @@ __all__ = [
     "Blueprint",
     "BulkDistanceOracle",
     "BulkLexShortestPaths",
-    "CDistanceOracle",
-    "CLexShortestPaths",
     "CSRGraph",
     "CSRLexShortestPaths",
     "ConstructionError",

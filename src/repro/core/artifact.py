@@ -444,15 +444,6 @@ class Artifact:
             key = (s, (), ())
             if hasattr(engine, "_search_ns"):
                 parent = list(lp[i * n : (i + 1) * n])
-                try:
-                    weight_limit = int(
-                        os.environ.get(
-                            "REPRO_SEARCH_CACHE_INTS",
-                            getattr(engine, "SEARCH_CACHE_INTS", 0),
-                        )
-                    )
-                except ValueError:
-                    weight_limit = getattr(engine, "SEARCH_CACHE_INTS", 0)
                 engine._cache.put(
                     csr,
                     engine._search_ns,
@@ -460,7 +451,7 @@ class Artifact:
                     (SearchResult(s, dist, parent), True),
                     limit=engine._cache_size,
                     weight=2 * n,
-                    weight_limit=weight_limit,
+                    weight_limit=engine.SEARCH_CACHE_INTS,
                 )
             if hasattr(dist_oracle, "_VEC_NS"):
                 dist_oracle._cache.put(
@@ -470,7 +461,7 @@ class Artifact:
                     dist,
                     limit=dist_oracle.VEC_CACHE_LIMIT,
                     weight=n,
-                    weight_limit=dist_oracle._vec_weight_limit(),
+                    weight_limit=dist_oracle.VEC_CACHE_INTS,
                 )
             if hasattr(dist_oracle, "_PT_NS"):
                 # Per-pair point memo: bulk-inserted through the raw

@@ -4,7 +4,7 @@ Every proof in the paper assumes a weight assignment ``W`` that breaks
 shortest-path ties consistently, so that ``SP(u, v, G', W)`` is a *unique*
 path for every subgraph ``G'`` and the choice is globally consistent
 (subpaths of chosen paths are themselves chosen).  This module supplies
-that abstraction with three interchangeable engines:
+that abstraction with four interchangeable engines:
 
 ``CSRLexShortestPaths`` (``"lex-csr"``, the default)
     Computes, for every vertex, the lexicographically-minimal shortest
@@ -52,21 +52,13 @@ that abstraction with three interchangeable engines:
     python kernel once graphs outgrow the per-level vectorization
     overhead (n ≳ 500).  On small graphs the bulk kernel transparently
     delegates to the python kernel, so the engine is never worse than
-    ``lex-csr`` by more than a constant.  Registered only when numpy is
-    importable.
-
-``CLexShortestPaths`` (``"lex-c"``, requires :mod:`numpy` + the
-compiled C kernel)
-    The top of the kernel ladder: searches run on the numpy bulk
-    kernel exactly like ``lex-bulk``, while the batched point-query
+    ``lex-csr`` by more than a constant.  Its batched point-query
     strategies (cross-query multi-pair, shared early-exit sweeps)
-    execute in the compiled C kernel of :mod:`repro.core.ckernel`.
-    Construction fails with a descriptive error when the C kernel
-    cannot load (no compiler, ``REPRO_C_KERNEL=off``); note the plain
-    ``lex-bulk`` tier *also* auto-dispatches to C when it is available
-    (``REPRO_C_KERNEL=auto``) — selecting ``lex-c`` turns that
-    opportunistic acceleration into a guarantee.  See
-    ``docs/kernels.md`` for the full ladder.
+    dispatch to the compiled C kernel of :mod:`repro.core.ckernel`
+    whenever it loads; under ``REPRO_C_KERNEL=on`` a vectorized batch
+    that cannot reach C raises instead of degrading (see
+    ``docs/kernels.md`` for the full ladder).  Registered only when
+    numpy is importable.
 
 Fault simulation is expressed with *banned* vertex/edge sets interpreted
 in the traversal inner loop — restricted graphs like ``G \\ F``,
@@ -105,7 +97,6 @@ the equivalence tests always compare independently computed results.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import deque
 from heapq import heappop, heappush
@@ -120,11 +111,8 @@ from repro.core.snapshot_cache import SnapshotCache, shared_cache
 
 try:  # The bulk kernel needs numpy; everything else must work without.
     from repro.core.bulk import bulk_of
-    from repro.core.ckernel import c_kernel_mode, c_kernel_status
 except ImportError:  # pragma: no cover - exercised only on numpy-less installs
     bulk_of = None
-    c_kernel_mode = None
-    c_kernel_status = None
 
 #: True when the vectorized bulk kernel (and the ``lex-bulk`` engine /
 #: :class:`BulkDistanceOracle`) are available in this interpreter.
@@ -250,7 +238,6 @@ class CSRLexShortestPaths:
     #: Memory budget (total ints, counting each SearchResult as its two
     #: n-length vectors) for the search memo namespace — entry-count
     #: limits alone let n-sized results grow unbounded on large graphs.
-    #: Override with ``REPRO_SEARCH_CACHE_INTS``.
     SEARCH_CACHE_INTS = 16_000_000
 
     def __init__(
@@ -337,12 +324,7 @@ class CSRLexShortestPaths:
         cache = self._cache
         ns = self._search_ns
         weight = 2 * csr.n  # each result holds two n-length vectors
-        try:
-            weight_limit = int(
-                os.environ.get("REPRO_SEARCH_CACHE_INTS", self.SEARCH_CACHE_INTS)
-            )
-        except ValueError:
-            weight_limit = self.SEARCH_CACHE_INTS
+        weight_limit = self.SEARCH_CACHE_INTS
         entry = cache.get(csr, ns, key)
         if entry is not None:
             res, complete = entry
@@ -430,65 +412,6 @@ class BulkLexShortestPaths(CSRLexShortestPaths):
         kernel.bfs(source, ban, target)
         dist, parent = kernel.collect()
         return SearchResult(source, dist, parent)
-
-
-def _require_c_kernel() -> None:
-    """Raise :class:`GraphError` unless the compiled C kernel can serve.
-
-    The ``lex-c`` tier is a *guarantee*, not a hint: constructing it
-    must fail loudly when the C kernel cannot run (numpy missing,
-    ``REPRO_C_KERNEL=off``, no compiler and no prebuilt extension) —
-    silent degradation is what plain ``lex-bulk`` under the default
-    ``REPRO_C_KERNEL=auto`` dispatch is for.
-    """
-    if not HAVE_BULK:
-        raise GraphError(
-            "the lex-c engine requires numpy (the C kernel accelerates "
-            "the numpy kernel's batch entry points), which is not installed"
-        )
-    if c_kernel_mode() == "off":
-        raise GraphError(
-            "the lex-c engine is explicitly disabled (REPRO_C_KERNEL=off); "
-            "use lex-bulk, or unset REPRO_C_KERNEL"
-        )
-    ok, detail = c_kernel_status()
-    if not ok:
-        raise GraphError(
-            f"the lex-c engine requires the compiled C kernel, which is "
-            f"unavailable: {detail}"
-        )
-
-
-class CLexShortestPaths(BulkLexShortestPaths):
-    """Lexicographic canonical shortest paths with the C batch tier.
-
-    Searches behave exactly like :class:`BulkLexShortestPaths` (full
-    canonical searches are level-synchronous numpy expansions — parent
-    tracking has no C port), but the engine asserts at construction
-    that the compiled C kernel of :mod:`repro.core.ckernel` is loaded,
-    and its oracle family (:class:`CDistanceOracle`) answers the
-    batched point-query pipeline's multi-pair and shared-sweep
-    strategies in C.  Output is bit-for-bit identical to every other
-    lex engine (asserted by ``tests/test_csr_equivalence.py`` and the
-    ``tests/test_query_batch.py`` property suites); selecting the tier
-    only moves the wall clock.
-
-    Registered as ``lex-c`` whenever numpy is present; construction
-    raises a descriptive :class:`~repro.core.errors.GraphError` when
-    the C kernel cannot load (no compiler, ``REPRO_C_KERNEL=off``), so
-    pure-python installs keep working with the other engines.
-    """
-
-    name = "lex-c"
-
-    def __init__(
-        self,
-        graph: Graph,
-        cache_size: int = 8_192,
-        cache: Optional[SnapshotCache] = None,
-    ) -> None:
-        _require_c_kernel()
-        super().__init__(graph, cache_size, cache)
 
 
 class LexShortestPaths:
@@ -742,7 +665,7 @@ class DistanceOracle:
     VEC_CACHE_LIMIT = 8_192
     #: Memory budget (total ints) for the vector namespace — the entry
     #: count limit alone would still let n-sized vectors grow unbounded
-    #: on large graphs.  Override with ``REPRO_VEC_CACHE_INTS``.
+    #: on large graphs.
     VEC_CACHE_INTS = 8_000_000
 
     def __init__(
@@ -775,14 +698,6 @@ class DistanceOracle:
         eids.sort()
         verts = sorted(set(banned_vertices)) if banned_vertices else []
         return eids, verts
-
-    def _vec_weight_limit(self) -> int:
-        try:
-            return int(
-                os.environ.get("REPRO_VEC_CACHE_INTS", self.VEC_CACHE_INTS)
-            )
-        except ValueError:
-            return self.VEC_CACHE_INTS
 
     def batch(self) -> PointQueryBatch:
         """A fresh point-query planner bound to this oracle.
@@ -870,7 +785,7 @@ class DistanceOracle:
                 vec,
                 limit=self.VEC_CACHE_LIMIT,
                 weight=len(vec),
-                weight_limit=self._vec_weight_limit(),
+                weight_limit=self.VEC_CACHE_INTS,
             )
         return list(vec)
 
@@ -911,7 +826,7 @@ class DistanceOracle:
                     vec,
                     limit=self.VEC_CACHE_LIMIT,
                     weight=len(vec),
-                    weight_limit=self._vec_weight_limit(),
+                    weight_limit=self.VEC_CACHE_INTS,
                 )
             out.append(list(vec))
         return out
@@ -950,34 +865,6 @@ class BulkDistanceOracle(DistanceOracle):
         if kernel is None:
             kernel = bulk_of(self.graph)
         return kernel
-
-
-class CDistanceOracle(BulkDistanceOracle):
-    """:class:`BulkDistanceOracle` whose batch paths run in C.
-
-    The oracle family of the ``lex-c`` engine.  Execution-wise it is
-    the bulk oracle — the shared per-snapshot kernel auto-dispatches
-    its batch entry points to C under ``REPRO_C_KERNEL`` — but this
-    class (1) asserts at construction that the C kernel actually
-    loaded, turning silent degradation into a hard error, and (2) owns
-    separate memo namespaces (``pt:c`` / ``vec:c``), so the
-    equivalence property tests always compare independently computed
-    C-tier results instead of another family's cached answers.
-    """
-
-    __slots__ = ()
-
-    _PT_NS = "pt:c"
-    _VEC_NS = "vec:c"
-
-    def __init__(
-        self,
-        graph: Graph,
-        cache_size: int = 262_144,
-        cache: Optional[SnapshotCache] = None,
-    ) -> None:
-        _require_c_kernel()
-        super().__init__(graph, cache_size, cache)
 
 
 class PythonDistanceOracle:
@@ -1103,15 +990,11 @@ LexShortestPaths.oracle_class = PythonDistanceOracle
 CSRLexShortestPaths.oracle_class = DistanceOracle
 PerturbedShortestPaths.oracle_class = DistanceOracle
 BulkLexShortestPaths.oracle_class = BulkDistanceOracle
-CLexShortestPaths.oracle_class = CDistanceOracle
 
 
 #: Registry of available engines, keyed by their ``name``.  The bulk
-#: and C engines register only when numpy is importable, so numpy-less
-#: installs keep working with the python kernels; ``lex-c``
-#: additionally requires the compiled C kernel and raises a clear
-#: error at construction when it cannot load (probing compilability at
-#: import time would be a side effect, so registration is optimistic).
+#: engine registers only when numpy is importable, so numpy-less
+#: installs keep working with the python kernels.
 ENGINES = {
     CSRLexShortestPaths.name: CSRLexShortestPaths,
     LexShortestPaths.name: LexShortestPaths,
@@ -1119,7 +1002,6 @@ ENGINES = {
 }
 if HAVE_BULK:
     ENGINES[BulkLexShortestPaths.name] = BulkLexShortestPaths
-    ENGINES[CLexShortestPaths.name] = CLexShortestPaths
 
 #: Default engine used whenever callers pass ``engine=None``.
 DEFAULT_ENGINE = CSRLexShortestPaths.name

@@ -65,7 +65,6 @@ all share a single pool.
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -76,20 +75,14 @@ from repro.core.graph import Edge, Graph
 UNREACHED = -1
 
 
-def delta_max_overlay() -> int:
-    """Churn budget for patched snapshots (``REPRO_DELTA_MAX_OVERLAY``).
-
-    A delta whose cumulative overlay churn (net edge adds + removes
-    since the last *fresh* flatten) stays within this budget is applied
-    as an incremental :class:`DeltaCSRGraph` patch over the parent
-    snapshot; past it, :func:`csr_of` re-flattens from scratch — deep
-    overlay chains stop paying for themselves once most rows have been
-    rewritten anyway.
-    """
-    try:
-        return int(os.environ.get("REPRO_DELTA_MAX_OVERLAY", "64"))
-    except ValueError:
-        return 64
+#: Churn budget for patched snapshots.  A delta whose cumulative
+#: overlay churn (net edge adds + removes since the last *fresh*
+#: flatten) stays within this budget is applied as an incremental
+#: :class:`DeltaCSRGraph` patch over the parent snapshot; past it,
+#: :func:`csr_of` re-flattens from scratch — deep overlay chains stop
+#: paying for themselves once most rows have been rewritten anyway.
+#: Read at snapshot time.
+DELTA_MAX_OVERLAY = 64
 
 
 def csr_of(graph: Graph) -> "CSRGraph":
@@ -102,7 +95,7 @@ def csr_of(graph: Graph) -> "CSRGraph":
     scratch pool.
 
     When the mutation was a :meth:`~repro.core.graph.Graph.apply_delta`
-    batch whose net churn fits ``REPRO_DELTA_MAX_OVERLAY``, the rebuild
+    batch whose net churn fits :data:`DELTA_MAX_OVERLAY`, the rebuild
     is *incremental*: a :class:`DeltaCSRGraph` patches the previous
     snapshot (stable edge ids, shared per-vertex views) and the shared
     snapshot cache migrates every entry whose survival the delta layer
@@ -119,7 +112,7 @@ def csr_of(graph: Graph) -> "CSRGraph":
         and cached is not None
         and record.parent is cached
         and record.child_version == graph.version
-        and cached.overlay_churn + record.churn <= delta_max_overlay()
+        and cached.overlay_churn + record.churn <= DELTA_MAX_OVERLAY
     ):
         snapshot = DeltaCSRGraph(graph, cached, record.adds, record.removes)
         graph._csr_cache = snapshot
@@ -165,7 +158,7 @@ class CSRGraph:
         "eid_cap",
         # Cumulative net churn absorbed since the last fresh flatten
         # (0 on fresh/adopted snapshots); csr_of re-flattens once
-        # overlay_churn would exceed REPRO_DELTA_MAX_OVERLAY.
+        # overlay_churn would exceed DELTA_MAX_OVERLAY.
         "overlay_churn",
         "version",
         "indptr",

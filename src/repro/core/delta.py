@@ -56,7 +56,7 @@ Point-distance entries (``pt:*``) store a single scalar, which
 certifies nothing by itself.  They are derived through their source's
 cached distance *vector* (``vec:*``, captured from the parent table
 before the migration pops it) when one exists; otherwise a bounded
-number of them (``REPRO_DELTA_RECHECK``) are refreshed in place with
+number of them (:data:`DELTA_RECHECK`) are refreshed in place with
 one bidirectional probe each on the *child* snapshot — counted as
 ``delta_rechecked`` — and the rest evict.
 
@@ -66,7 +66,6 @@ evict: recomputing them costs less than proving they survive.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.graph import Edge
@@ -75,31 +74,19 @@ from repro.core.snapshot_cache import shared_cache
 UNREACHED = -1
 
 
-def delta_recheck_budget() -> int:
-    """Per-delta budget of point-entry refresh probes (``REPRO_DELTA_RECHECK``).
+#: Per-delta budget of point-entry refresh probes.  Each
+#: surviving-but-uncertified ``pt:*`` entry may cost one bounded
+#: bidirectional BFS on the child snapshot; this caps how many the
+#: migration is willing to pay for before evicting the remainder.
+#: Read at migration time.
+DELTA_RECHECK = 256
 
-    Each surviving-but-uncertified ``pt:*`` entry may cost one bounded
-    bidirectional BFS on the child snapshot; this caps how many the
-    migration is willing to pay for before evicting the remainder.
-    """
-    try:
-        return int(os.environ.get("REPRO_DELTA_RECHECK", "256"))
-    except ValueError:
-        return 256
-
-
-def delta_max_damage() -> float:
-    """Damage fraction past which a context rebuilds (``REPRO_DELTA_MAX_DAMAGE``).
-
-    Used by :meth:`repro.replacement.base.SourceContext.absorb_delta`:
-    when the subtrees dirtied by a delta cover more than this fraction
-    of the graph's vertices, selective repair is a false economy and
-    the per-source state is rebuilt outright.
-    """
-    try:
-        return float(os.environ.get("REPRO_DELTA_MAX_DAMAGE", "0.25"))
-    except ValueError:
-        return 0.25
+#: Damage fraction past which a context rebuilds.  Used by
+#: :meth:`repro.replacement.base.SourceContext.absorb_delta`: when the
+#: subtrees dirtied by a delta cover more than this fraction of the
+#: graph's vertices, selective repair is a false economy and the
+#: per-source state is rebuilt outright.  Read at absorb time.
+DELTA_MAX_DAMAGE = 0.25
 
 
 def _search_survives(res, eset, vset, added, removed) -> bool:
@@ -175,7 +162,7 @@ def migrate_cache(
     # the parent's table (the dicts stay alive through these refs).
     vec_tables = {
         "pt:" + tail: cache.namespace(parent, "vec:" + tail)
-        for tail in ("csr", "bulk", "c")
+        for tail in ("csr", "bulk")
     }
     # Distance-only vectors failing the layering certificate get a
     # second chance through the *parent-carrying* search entry of the
@@ -184,10 +171,9 @@ def migrate_cache(
     # distances alone cannot certify when ``|du - dv| == 1``.
     search_tables = {
         "vec:" + tail: cache.namespace(parent, "search:lex-" + tail)
-        for tail in ("csr", "bulk", "c")
+        for tail in ("csr", "bulk")
     }
-    budget = delta_recheck_budget()
-    state = {"budget": budget, "ban_key": None, "ban": None}
+    state = {"budget": DELTA_RECHECK, "ban_key": None, "ban": None}
 
     def strip(ekey: Sequence[int]) -> Tuple[int, ...]:
         if removed_ids.isdisjoint(ekey):

@@ -60,9 +60,10 @@ Entry points: :meth:`repro.core.canonical.DistanceOracle.batch` /
 :meth:`~repro.core.canonical.DistanceOracle.distances_bulk` (and the
 bulk-oracle overrides), :meth:`repro.replacement.base.SourceContext.query_batch`,
 and :meth:`repro.ftbfs.oracle.FTQueryOracle.distances_bulk`.  The
-legacy :class:`~repro.core.canonical.PythonDistanceOracle` answers the
-same planner API through :class:`LegacyQueryBatch` (dedupe only), so
-``--engine lex`` keeps reproducing the pre-kernel behavior end to end.
+legacy :class:`~repro.core.canonical.PythonDistanceOracle` and the
+weighted oracles answer the same planner API through
+:class:`LegacyQueryBatch` (dedupe only), so ``--engine lex`` keeps
+reproducing the pre-kernel behavior end to end.
 
 Only probes whose restriction is known upfront belong here.  Step 3 of
 ``Cons2FTBFS`` also probes ``dist(s, v, G \\ ((E(v) \\ collected) ∪ F))``,
@@ -686,13 +687,18 @@ class PointQueryBatch:
 
 
 class LegacyQueryBatch:
-    """Planner over the legacy pure-python oracle: dedupe, then loop.
+    """Planner over a scalar-only oracle: dedupe, then loop.
 
-    Gives :class:`~repro.core.canonical.PythonDistanceOracle` the same
-    planner surface as the kernel oracles, so converted consumers run
-    unchanged under ``--engine lex`` — each unique request is answered
-    by one scalar ``oracle.distance`` call (the pre-kernel behavior the
-    reference arm exists to preserve), duplicates are answered once.
+    Gives :class:`~repro.core.canonical.PythonDistanceOracle` and the
+    weighted oracles of :mod:`repro.core.weighted` the same planner
+    surface as the kernel oracles, so converted consumers run
+    unchanged under ``--engine lex`` or a weighted engine — each unique
+    request is answered by one scalar ``oracle.distance`` call (the
+    pre-kernel behavior the reference arm exists to preserve),
+    duplicates are answered once.  Unreachable pairs answer
+    :data:`UNREACHED`, integral distances come back as ``int`` (so
+    uniform-weight runs are bit-identical to the hop planners) and
+    non-integral weighted distances stay ``float``.
     """
 
     __slots__ = ("_oracle", "_requests")
@@ -729,7 +735,12 @@ class LegacyQueryBatch:
             hops = memo.get(key)
             if hops is None:
                 d = distance(source, target, be, bv)
-                hops = UNREACHED if d == INF else int(d)
+                if d == INF:
+                    hops = UNREACHED
+                elif isinstance(d, float) and not d.is_integer():
+                    hops = d
+                else:
+                    hops = int(d)
                 memo[key] = hops
             handle.hops = hops
             out.append(hops)

@@ -20,9 +20,11 @@ engines compute the identical canonical assignment:
     When every weight is a small integer (at most
     :data:`DIAL_MAX_WEIGHT`) the priority queue is a Dial bucket
     array — distances are dense small ints, so a list of buckets
-    processed in increasing distance replaces the heap — with a heap
-    fallback for float or large weights.  Both queues produce
-    bit-identical results (asserted by ``tests/test_weighted.py``).
+    processed in increasing distance replaces the heap.  Any other
+    weights (floats, or integers above the cap) run the reference
+    search inside the same memo: a CSR heap measured no faster than
+    it.  Dial is bit-identical to the reference (asserted by
+    ``tests/test_weighted.py``).
 
 **Tie-break rule.**  Vertices are settled in ascending
 ``(distance, rank(parent), vertex id)`` order, where ``rank(u)`` is
@@ -60,7 +62,6 @@ See ``docs/weighted.md`` for the full semantics.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -68,7 +69,7 @@ from repro.core.csr import CSRGraph, csr_of
 from repro.core.errors import DisconnectedError, GraphError
 from repro.core.graph import Graph
 from repro.core.paths import Path
-from repro.core.query_batch import QueryHandle
+from repro.core.query_batch import LegacyQueryBatch
 from repro.core.snapshot_cache import SnapshotCache, shared_cache
 
 from repro.core.canonical import (
@@ -81,11 +82,11 @@ from repro.core.canonical import (
 )
 
 #: Largest integer weight the Dial bucket queue accepts.  Above it (or
-#: with any non-integer weight) ``CSRWeightedShortestPaths`` falls back
-#: to the binary heap: bucket count grows as ``n · max_weight``, and
+#: with any non-integer weight) ``CSRWeightedShortestPaths`` runs the
+#: reference heap search: bucket count grows as ``n · max_weight``, and
 #: past this point scanning empty buckets costs more than heap
-#: maintenance.  Both queues are bit-identical, so the crossover only
-#: moves the wall clock.
+#: maintenance.  Both are bit-identical, so the crossover only moves
+#: the wall clock.
 DIAL_MAX_WEIGHT = 64
 
 #: Safety cap for :meth:`ecmp_paths` enumeration (the number of
@@ -325,15 +326,16 @@ class CSRWeightedShortestPaths(_EcmpMixin):
     pending vertices per integer distance; because weights are
     strictly positive, a bucket is complete before it is processed, so
     sorting it by ``(parent rank, vertex)`` reproduces the heap's
-    settle order exactly); anything else uses the binary heap.
-    Results are bit-identical either way.
+    settle order exactly); anything else runs
+    :meth:`WeightedLexShortestPaths.search`, memoized like a Dial
+    search.  Results are bit-identical either way.
     """
 
     name = "wlex-csr"
     weighted = True
 
-    #: Entry cap for the search memo namespace (same discipline as
-    #: ``CSRLexShortestPaths``; the weight budget below bounds memory).
+    #: Memory budget (total ints) for the search memo namespace, as on
+    #: ``CSRLexShortestPaths``.
     SEARCH_CACHE_INTS = 16_000_000
 
     def __init__(
@@ -349,6 +351,7 @@ class CSRWeightedShortestPaths(_EcmpMixin):
         # whose delta-migration certificates assume hop layering (see
         # the module docstring) — unknown namespaces are evicted.
         self._search_ns = "wsearch:" + self.name
+        self._reference = WeightedLexShortestPaths(graph)
         self._csr = None
         self._bind(csr_of(graph))
 
@@ -399,31 +402,27 @@ class CSRWeightedShortestPaths(_EcmpMixin):
         if not self.graph.has_vertex(source):
             raise GraphError(f"invalid source {source}")
         csr = self._snapshot()
+        banned_edges = tuple(banned_edges)  # the reference reads it again
         key, eids, verts = self._restriction_key(
             csr, source, banned_edges, banned_vertices
         )
         cache = self._cache
         ns = self._search_ns
         weight = 2 * csr.n
-        try:
-            weight_limit = int(
-                os.environ.get("REPRO_SEARCH_CACHE_INTS", self.SEARCH_CACHE_INTS)
-            )
-        except ValueError:
-            weight_limit = self.SEARCH_CACHE_INTS
+        weight_limit = self.SEARCH_CACHE_INTS
         entry = cache.get(csr, ns, key)
         if entry is not None:
             res, complete = entry
             if complete or (target is not None and res.reached(target)):
                 return res
-            res = self._run(csr, source, eids, verts, None)
+            res = self._run(csr, source, banned_edges, eids, verts, None)
             cache.put(
                 csr, ns, key, (res, True),
                 limit=self._cache_size, weight=weight,
                 weight_limit=weight_limit,
             )
             return res
-        res = self._run(csr, source, eids, verts, target)
+        res = self._run(csr, source, banned_edges, eids, verts, target)
         complete = target is None or not res.reached(target)
         cache.put(
             csr, ns, key, (res, complete),
@@ -432,7 +431,11 @@ class CSRWeightedShortestPaths(_EcmpMixin):
         )
         return res
 
-    def _run(self, csr: CSRGraph, source, eids, verts, target) -> SearchResult:
+    def _run(
+        self, csr: CSRGraph, source, banned_edges, eids, verts, target
+    ) -> SearchResult:
+        if not self._use_dial:
+            return self._reference.search(source, banned_edges, verts, target)
         bg, have_e, have_v = csr.stamp_edge_ids(eids, verts)
         vban = csr._vban
         eban = csr._eban
@@ -451,55 +454,24 @@ class CSRWeightedShortestPaths(_EcmpMixin):
         cost[source] = 0
         parent[source] = source
         counter = 0
-        if self._use_dial:
-            buckets: List[List[int]] = [[source]]
-            d = 0
-            while d < len(buckets):
-                batch = buckets[d]
-                live = [
-                    v for v in batch
-                    if done[v] != gen and seen[v] == gen and cost[v] == d
-                ]
-                if len(live) > 1:
-                    live.sort(key=lambda v: (rank[parent[v]], v))
-                hit_target = False
-                for u in live:
-                    done[u] = gen
-                    rank[u] = counter
-                    counter += 1
-                    if target is not None and u == target:
-                        hit_target = True
-                        break
-                    for v, e in arcs[u]:
-                        if done[v] == gen:
-                            continue
-                        if have_v and vban[v] == bg:
-                            continue
-                        if have_e and eban[e] == bg:
-                            continue
-                        nd = d + wts[e]
-                        if seen[v] != gen or nd < cost[v]:
-                            seen[v] = gen
-                            cost[v] = nd
-                            parent[v] = u
-                            while len(buckets) <= nd:
-                                buckets.append([])
-                            buckets[nd].append(v)
-                if hit_target:
-                    break
-                d += 1
-        else:
-            heap: List[Tuple[float, int, int]] = [(0, 0, source)]
-            while heap:
-                cu, _pr, u = heappop(heap)
-                if done[u] == gen or cost[u] != cu:
-                    continue
+        buckets: List[List[int]] = [[source]]
+        d = 0
+        while d < len(buckets):
+            batch = buckets[d]
+            live = [
+                v for v in batch
+                if done[v] != gen and seen[v] == gen and cost[v] == d
+            ]
+            if len(live) > 1:
+                live.sort(key=lambda v: (rank[parent[v]], v))
+            hit_target = False
+            for u in live:
                 done[u] = gen
                 rank[u] = counter
                 counter += 1
                 if target is not None and u == target:
+                    hit_target = True
                     break
-                ru = rank[u]
                 for v, e in arcs[u]:
                     if done[v] == gen:
                         continue
@@ -507,12 +479,17 @@ class CSRWeightedShortestPaths(_EcmpMixin):
                         continue
                     if have_e and eban[e] == bg:
                         continue
-                    nd = cu + wts[e]
+                    nd = d + wts[e]
                     if seen[v] != gen or nd < cost[v]:
                         seen[v] = gen
                         cost[v] = nd
                         parent[v] = u
-                        heappush(heap, (nd, ru, v))
+                        while len(buckets) <= nd:
+                            buckets.append([])
+                        buckets[nd].append(v)
+            if hit_target:
+                break
+            d += 1
         n = self.graph.n
         dist = [cost[v] if done[v] == gen else UNREACHED for v in range(n)]
         parent_out = [
@@ -530,64 +507,6 @@ class CSRWeightedShortestPaths(_EcmpMixin):
         """``SP(source, target, G', W)``: the unique canonical path."""
         res = self.search(source, banned_edges, banned_vertices, target=target)
         return res.path(target)
-
-
-class WeightedQueryBatch:
-    """Dedupe-only point-query planner that *preserves* weighted values.
-
-    The shared planner surface (``add``/``execute``) over a weighted
-    oracle.  Unlike :class:`~repro.core.query_batch.LegacyQueryBatch`
-    — whose ``int(d)`` coercion is exactly right for hop counts — this
-    planner keeps non-integral float distances intact: unreachable
-    pairs answer :data:`~repro.core.canonical.UNREACHED`, integral
-    distances come back as ``int`` (so uniform-weight runs are
-    bit-identical to the hop planners), everything else stays ``float``.
-    """
-
-    __slots__ = ("_oracle", "_requests")
-
-    def __init__(self, oracle) -> None:
-        self._oracle = oracle
-        self._requests: List[Tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._requests)
-
-    def add(
-        self,
-        source: int,
-        target: int,
-        banned_edges: Iterable[Sequence[int]] = (),
-        banned_vertices: Iterable[int] = (),
-    ) -> QueryHandle:
-        """Plan one query (executed lazily by :meth:`execute`)."""
-        handle = QueryHandle()
-        self._requests.append(
-            (source, target, tuple(banned_edges), tuple(banned_vertices), handle)
-        )
-        return handle
-
-    def execute(self) -> List[float]:
-        """Answer all pending requests (duplicates answered once)."""
-        requests, self._requests = self._requests, []
-        memo: Dict[Tuple, float] = {}
-        out: List[float] = []
-        distance = self._oracle.distance
-        for source, target, be, bv, handle in requests:
-            key = (source, target, be, bv)
-            val = memo.get(key)
-            if val is None:
-                d = distance(source, target, be, bv)
-                if d == INF:
-                    val = UNREACHED
-                elif isinstance(d, float) and d.is_integer():
-                    val = int(d)
-                else:
-                    val = d
-                memo[key] = val
-            handle.hops = val
-            out.append(val)
-        return out
 
 
 class WeightedDistanceOracle:
@@ -631,9 +550,9 @@ class WeightedDistanceOracle:
     def _source_banned(self, source, banned_vertices) -> bool:
         return bool(banned_vertices) and source in set(banned_vertices)
 
-    def batch(self) -> WeightedQueryBatch:
+    def batch(self) -> LegacyQueryBatch:
         """A fresh dedupe-only planner bound to this oracle."""
-        return WeightedQueryBatch(self)
+        return LegacyQueryBatch(self)
 
     def distance(
         self,

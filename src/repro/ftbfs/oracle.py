@@ -51,7 +51,10 @@ class FTQueryOracle:
     (:class:`GraphError`) — beyond budget the equality with ``G`` is
     not guaranteed and silently wrong answers would be worse than an
     error.  So are targets outside ``[0, n)``, which would otherwise
-    read as unreachable (or, negative, alias a real vertex).
+    read as unreachable (or, negative, alias a real vertex), and faults
+    that are not an edge of the host graph ``G``, which would otherwise
+    be answered as if nothing had failed.  A fault in ``G \\ H`` is
+    legitimate: it removes nothing from ``H``.
     """
 
     def __init__(self, structure: FTStructure, engine=None, subgraph=None) -> None:
@@ -136,6 +139,17 @@ class FTQueryOracle:
                 f"{len(faults)} faults exceed the structure's budget "
                 f"f={self.max_faults}"
             )
+        host = self.structure.graph
+        for fault in faults:
+            try:
+                u, v = fault
+                known = host.has_edge(u, v)
+            except (TypeError, ValueError):
+                known = False
+            if not known:
+                raise GraphError(
+                    f"fault {fault!r} is not an edge of the host graph"
+                )
         n = self._h.n
         for target in targets:
             if not 0 <= target < n:

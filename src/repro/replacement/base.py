@@ -93,9 +93,10 @@ class SourceContext:
           (π cache included) is kept as-is and only the per-fault
           vectors are pruned by certificate.
         * **mode ``"repair"``** — damage at most
-          ``REPRO_DELTA_MAX_DAMAGE`` (fraction of ``n``): the canonical
-          tree is re-derived (one search — typically a snapshot-cache
-          hit via the migration certificates) and each cached
+          :data:`repro.core.delta.DELTA_MAX_DAMAGE` (fraction of
+          ``n``): the canonical tree is re-derived (one search —
+          typically a snapshot-cache hit via the migration
+          certificates) and each cached
           ``fault_distances`` vector survives iff its certificate
           holds, saving one full restricted BFS per survivor.
         * **mode ``"rebuild"``** — past the threshold (or an insertion
@@ -106,7 +107,7 @@ class SourceContext:
         Results after any mode are bit-identical to building a fresh
         context on the mutated graph (property-tested per engine).
         """
-        from repro.core.delta import _vec_survives, delta_max_damage
+        from repro.core.delta import DELTA_MAX_DAMAGE, _vec_survives
 
         old = self.tree
         added = [normalize_edge(u, v) for u, v in added]
@@ -134,7 +135,7 @@ class SourceContext:
         damage = 1.0 if rebuild else (
             sum(len(old.subtree(r)) for r in roots) / max(n, 1)
         )
-        if rebuild or damage > delta_max_damage():
+        if rebuild or damage > DELTA_MAX_DAMAGE:
             self.tree = BFSTree(self.graph, self.source, self.engine)
             dropped = len(self._fault_dist)
             self._fault_dist.clear()

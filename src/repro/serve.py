@@ -18,7 +18,7 @@ over a local socket for as long as it lives.  The moving parts:
   :class:`~repro.ftbfs.oracle.FTQueryOracle` — ``batch`` requests ride
   the :class:`~repro.core.query_batch.PointQueryBatch` planner, so a
   served batch gets the same plan→dedupe→group pipeline and kernel
-  ladder (numpy multi-pair tables, C threads under ``lex-c``) as an
+  ladder (numpy multi-pair tables, C threads under ``lex-bulk``) as an
   in-process caller.  The accept loop is threaded (one thread per
   connection), but query execution itself is serialized behind one
   lock: the CSR kernel's pooled scratch is deliberately per-snapshot,
@@ -32,7 +32,7 @@ over a local socket for as long as it lives.  The moving parts:
   same exactness contract (hammered in ``tests/test_serve.py``).
 
 Served answers are bit-identical to in-process oracle queries on every
-engine tier — property-tested across the four engine families.
+engine tier — property-tested across the three hop engine families.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import socket
 import struct
 import threading
 import time
+import traceback
 from bisect import insort
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -418,11 +419,21 @@ class QueryServer:
                     "error": str(err),
                     "error_type": type(err).__name__,
                 }
-            except (KeyError, TypeError, ValueError) as err:
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
                 response = {
                     "ok": False,
                     "error": f"malformed request: {err!r}",
                     "error_type": "ProtocolError",
+                }
+            except Exception as err:
+                # Anything else is a server bug, not a client error, but
+                # the connection and the stats record must survive it;
+                # the traceback goes to stderr for the operator.
+                traceback.print_exc()
+                response = {
+                    "ok": False,
+                    "error": f"internal error: {err!r}",
+                    "error_type": "InternalError",
                 }
         self.stats.record(
             endpoint, time.perf_counter() - t0, error=not response["ok"]

@@ -16,8 +16,7 @@ from __future__ import annotations
 import pathlib
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.canonical import ENGINES, UNREACHABLE, make_engine
-from repro.core.errors import GraphError
+from repro.core.canonical import ENGINES, UNREACHABLE
 from repro.core.scenario import (
     assert_identical_reports,
     load_blueprint,
@@ -34,8 +33,8 @@ CORPUS_DIR = (
 #: Execution modes every corpus scenario is replayed in.
 MODES = ("fresh", "delta")
 
-#: The engine ladder the differential contract covers (when runnable).
-LEX_ENGINES = ("lex", "lex-csr", "lex-bulk", "lex-c")
+#: The engine ladder the differential contract covers (when registered).
+LEX_ENGINES = ("lex", "lex-csr", "lex-bulk")
 
 #: The weighted engine family (see ``docs/weighted.md``): replayed as
 #: its own differential group — weighted report bodies are only
@@ -48,23 +47,14 @@ def corpus_blueprints() -> List[pathlib.Path]:
     return sorted(CORPUS_DIR.glob("*.json"))
 
 
-def available_engines(graph,
-                      wanted: Sequence[str] = LEX_ENGINES) -> List[str]:
-    """The subset of ``wanted`` engines this host can construct.
+def available_engines(wanted: Sequence[str] = LEX_ENGINES) -> List[str]:
+    """The subset of ``wanted`` engines registered on this host.
 
-    ``lex-bulk``/``lex-c`` need numpy / a C toolchain; a host without
-    them still runs the differential over the remaining ladder.
+    ``lex-bulk`` needs numpy; a host without it still runs the
+    differential over the remaining ladder.  Its batches run in C
+    wherever the C kernel loads.
     """
-    out = []
-    for engine in wanted:
-        if engine not in ENGINES:
-            continue
-        try:
-            make_engine(graph, engine)
-        except GraphError:
-            continue
-        out.append(engine)
-    return out
+    return [engine for engine in wanted if engine in ENGINES]
 
 
 def check_sentinels(report: dict) -> None:
@@ -103,7 +93,7 @@ def replay_blueprint(
     """
     blueprint = load_blueprint(path)
     if engines is None:
-        engines = available_engines(blueprint.topology().graph)
+        engines = available_engines()
     assert engines, f"no canonical engine available to replay {path}"
     reports: List[dict] = []
     labels: List[str] = []

@@ -27,7 +27,7 @@ def sample_structure(n=24, p=0.18, seed=6):
 
 
 def engine_or_skip(name):
-    """Skip the test when this host cannot construct the engine tier."""
+    """Skip the test unless the engine is registered (lex-bulk needs numpy)."""
     if name not in ENGINES:
         pytest.skip(f"engine {name!r} unavailable on this host")
     return name
@@ -77,7 +77,7 @@ class TestRoundTrip:
             assert list(adopted.arc_eid) == list(rebuilt.arc_eid)
             assert adopted.edge_index == rebuilt.edge_index
 
-    @pytest.mark.parametrize("engine", ["lex", "lex-csr", "lex-bulk", "lex-c"])
+    @pytest.mark.parametrize("engine", ["lex", "lex-csr", "lex-bulk"])
     def test_oracle_identical_to_inprocess(self, tmp_path, engine):
         engine_or_skip(engine)
         s = sample_structure()

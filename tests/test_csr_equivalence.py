@@ -21,13 +21,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bulk import BulkCSRKernel
+from repro.core.bulk import BulkCSRKernel, kernel_dispatch_stats
 from repro.core.canonical import (
     INF,
     BulkDistanceOracle,
     BulkLexShortestPaths,
-    CDistanceOracle,
-    CLexShortestPaths,
     CSRLexShortestPaths,
     DistanceOracle,
     LexShortestPaths,
@@ -40,11 +38,12 @@ from repro.core.ckernel import c_kernel_available
 from repro.core.csr import csr_of
 from repro.core.errors import GraphError
 from repro.core.graph import Graph
+from repro.core.snapshot_cache import shared_cache
 from repro.generators import erdos_renyi, path_graph
 
 from tests.zoo import random_restriction, zoo_params
 
-#: The ``lex-c`` tier needs a loadable C kernel (compiler or prebuilt
+#: The C tier needs a loadable C kernel (compiler or prebuilt
 #: extension); hosts without one run the rest of the suite plus the
 #: fallback tests in tests/test_query_batch.py.
 needs_ckernel = pytest.mark.skipif(
@@ -69,18 +68,6 @@ def forced_bulk_oracle(graph):
     """A :class:`BulkDistanceOracle` sweeping on the forced numpy kernel."""
     force_vectorized(graph)
     return BulkDistanceOracle(graph)
-
-
-def forced_c_engine(graph):
-    """A ``lex-c`` engine whose kernel always takes the vectorized path."""
-    force_vectorized(graph)
-    return CLexShortestPaths(graph)
-
-
-def forced_c_oracle(graph):
-    """A :class:`CDistanceOracle` over the forced vectorized kernel."""
-    force_vectorized(graph)
-    return CDistanceOracle(graph)
 
 
 @zoo_params()
@@ -164,18 +151,26 @@ def test_multi_source_batch_matches_per_source(name, graph):
 
 @needs_ckernel
 @zoo_params()
-def test_c_tier_engine_and_oracle_equivalence(name, graph):
-    """The ``lex-c`` tier is bit-identical to the legacy reference.
+def test_c_tier_engine_and_oracle_equivalence(name, graph, monkeypatch):
+    """``lex-bulk`` with the C tier required is bit-identical to the
+    legacy reference.
 
-    Engine searches must match the legacy engine observable-for-
-    observable, and the C oracle's batch-first surface
-    (``distances_bulk``, which routes through the C multi-pair /
-    shared-sweep kernels) must agree element-for-element with per-pair
-    legacy scalar queries.
+    Under ``REPRO_C_KERNEL=on`` the forced-vectorized bulk kernel must
+    answer its batch entry points in C (it raises rather than fall
+    back), and the dispatch counters must show C answered some of
+    them, so the test cannot pass on the numpy tier.  Engine searches
+    must match the legacy engine observable-for-observable, and the
+    oracle's batch-first surface (``distances_bulk``, which routes
+    through the C multi-pair / shared-sweep kernels) must agree
+    element-for-element with per-pair legacy scalar queries.
     """
+    monkeypatch.setenv("REPRO_C_KERNEL", "on")
+    shared_cache().clear()  # every answer from a kernel, none memoized
     legacy = LexShortestPaths(graph)
-    eng = forced_c_engine(graph)
-    oracle = forced_c_oracle(graph)
+    force_vectorized(graph)
+    eng = BulkLexShortestPaths(graph)
+    oracle = BulkDistanceOracle(graph)
+    kernel_dispatch_stats(graph, reset=True)
     old = PythonDistanceOracle(graph)
     rng = random.Random(7 + (hash(name) & 0xFFFF))
     for trial in range(10):
@@ -191,6 +186,8 @@ def test_c_tier_engine_and_oracle_equivalence(name, graph):
         assert oracle.distances_bulk(pairs, be, bv) == [
             old.distance(s, t, be, bv) for s, t in pairs
         ]
+    stats = kernel_dispatch_stats(graph)
+    assert stats["pairs_c"] + stats["sweeps_c"] > 0
 
 
 @zoo_params()
@@ -211,35 +208,6 @@ class TestEngineContract:
 
     def test_bulk_engine_pairs_with_bulk_oracle(self):
         assert BulkLexShortestPaths.oracle_class is BulkDistanceOracle
-
-    def test_c_engine_pairs_with_c_oracle(self):
-        assert CLexShortestPaths.oracle_class is CDistanceOracle
-        assert CDistanceOracle._PT_NS != BulkDistanceOracle._PT_NS
-
-    @needs_ckernel
-    def test_c_engine_registered_and_constructible(self):
-        g = path_graph(4)
-        eng = make_engine(g, "lex-c")
-        assert isinstance(eng, CLexShortestPaths)
-        assert eng.search(0).dist(3) == 3
-
-    def test_c_engine_refuses_when_disabled(self, monkeypatch):
-        """``lex-c`` is a guarantee: REPRO_C_KERNEL=off must make its
-        construction fail loudly, never degrade silently."""
-        monkeypatch.setenv("REPRO_C_KERNEL", "off")
-        with pytest.raises(GraphError, match="disabled"):
-            CLexShortestPaths(path_graph(4))
-        with pytest.raises(GraphError, match="disabled"):
-            CDistanceOracle(path_graph(4))
-
-    def test_c_engine_refuses_when_kernel_broken(self, monkeypatch):
-        from repro.core import ckernel
-
-        monkeypatch.setattr(
-            ckernel, "_load_state", (None, "simulated broken extension")
-        )
-        with pytest.raises(GraphError, match="simulated broken extension"):
-            CLexShortestPaths(path_graph(4))
 
     def test_bulk_delegates_below_threshold(self):
         """On small graphs the bulk kernel hands off to the python

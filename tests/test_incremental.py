@@ -15,6 +15,8 @@ import random
 
 import pytest
 
+from repro.core import csr as csr_module
+from repro.core import delta as delta_module
 from repro.core import parallel
 from repro.core.canonical import ENGINES, DistanceOracle, make_engine
 from repro.core.ckernel import c_kernel_available
@@ -31,11 +33,7 @@ needs_c = pytest.mark.skipif(
 )
 
 #: Every canonical engine arm this host can run, kernel ladder order.
-ENGINE_ARMS = [
-    e
-    for e in ("lex", "lex-csr", "lex-bulk", "lex-c")
-    if e in ENGINES and (e != "lex-c" or c_kernel_available())
-]
+ENGINE_ARMS = [e for e in ("lex", "lex-csr", "lex-bulk") if e in ENGINES]
 
 #: 0-1-3 / 0-2-3 square: tree parents from 0 are {1: 0, 2: 0, 3: 1},
 #: so (2, 3) is a non-tree arc with the uncertifiable-from-distances
@@ -131,7 +129,7 @@ class TestDeltaSnapshot:
                 assert a == b
 
     def test_overlay_budget_forces_reflatten(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_MAX_OVERLAY", "2")
+        monkeypatch.setattr(csr_module, "DELTA_MAX_OVERLAY", 2)
         g = Graph(6, SQUARE)
         csr_of(g)
         g.apply_delta(adds=[(0, 4)], removes=[(2, 3)])  # churn 2: fits
@@ -255,10 +253,10 @@ class TestMigration:
             g.apply_delta(removes=[sorted(g.edges())[0]])
             return cache, csr_of(g)
 
-        monkeypatch.setenv("REPRO_DELTA_RECHECK", "0")
+        monkeypatch.setattr(delta_module, "DELTA_RECHECK", 0)
         cache, child = warm_points()
         zero_budget = len(cache.namespace(child, "pt:csr"))
-        monkeypatch.setenv("REPRO_DELTA_RECHECK", "256")
+        monkeypatch.setattr(delta_module, "DELTA_RECHECK", 256)
         cache, child = warm_points()
         # with budget the uncertified points are refreshed in place
         assert len(cache.namespace(child, "pt:csr")) > zero_budget
@@ -287,7 +285,7 @@ class TestAbsorbDelta:
         assert ctx.tree.parent(3) == 2  # rerouted through the survivor
 
     def test_damage_threshold_forces_rebuild(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_MAX_DAMAGE", "0.0")
+        monkeypatch.setattr(delta_module, "DELTA_MAX_DAMAGE", 0.0)
         g = Graph(4, SQUARE)
         ctx = SourceContext(g, 0)
         ctx.fault_distances((0, 1))
@@ -495,7 +493,7 @@ def test_strided_mt_per_thread_counts(monkeypatch):
     g = erdos_renyi(80, 0.07, seed=21)
     shared_cache().clear()
     kernel_dispatch_stats(g, reset=True)
-    build_cons2ftbfs(g, 0, engine="lex-c")
+    build_cons2ftbfs(g, 0, engine="lex-bulk")
     stats = kernel_dispatch_stats(g)
     assert stats is not None and stats["pairs_c_mt"] > 0
     per = stats["pairs_c_mt_threads"]

@@ -81,3 +81,35 @@ def test_oracle_max_faults_property():
     g = erdos_renyi(10, 0.3, seed=7)
     assert FTQueryOracle(build_cons2ftbfs(g, 0)).max_faults == 2
     assert FTQueryOracle(build_single_ftbfs(g, 0)).max_faults == 1
+
+
+def test_oracle_rejects_faults_outside_the_host_graph():
+    g = erdos_renyi(40, 0.12, seed=9)
+    oracle = FTQueryOracle(build_cons2ftbfs(g, 0))
+    non_edge = next(
+        (0, v) for v in range(1, g.n) if not g.has_edge(0, v)
+    )
+    for faults in ([(0, 999)], [non_edge], [(3, 3)], [(-1, 5)], [(0,)], [7]):
+        with pytest.raises(GraphError, match="not an edge"):
+            oracle.distance(0, 5, faults)
+        with pytest.raises(GraphError, match="not an edge"):
+            oracle.path(0, 5, faults)
+        with pytest.raises(GraphError, match="not an edge"):
+            oracle.distances_bulk(0, [1, 5], faults)
+        with pytest.raises(GraphError, match="not an edge"):
+            oracle.batch_distances(0, faults)
+
+
+def test_oracle_accepts_faults_outside_the_structure():
+    """A fault in G \\ H removes nothing from H, and is still a fault."""
+    g = erdos_renyi(40, 0.12, seed=9)
+    h = build_cons2ftbfs(g, 0)
+    oracle = FTQueryOracle(h)
+    truth = DistanceOracle(g)
+    outside = sorted(g.edges() - h.edges)
+    assert outside
+    for e in outside[:5]:
+        for v in range(g.n):
+            assert oracle.distance(0, v, [e]) == truth.distance(
+                0, v, banned_edges=[e]
+            )

@@ -31,11 +31,7 @@ needs_c = pytest.mark.skipif(
 )
 
 #: Every canonical engine arm this host can run, kernel ladder order.
-ENGINE_ARMS = [
-    e
-    for e in ("lex", "lex-csr", "lex-bulk", "lex-c")
-    if e in ENGINES and (e != "lex-c" or c_kernel_available())
-]
+ENGINE_ARMS = [e for e in ("lex", "lex-csr", "lex-bulk") if e in ENGINES]
 
 
 # ----------------------------------------------------------------------
@@ -207,12 +203,12 @@ def test_threaded_c_kernel_bit_identity(monkeypatch):
     g = erdos_renyi(120, 0.05, seed=17)
     monkeypatch.setenv("REPRO_C_THREADS", "1")
     shared_cache().clear()
-    serial = build_cons2ftbfs(g, 0, engine="lex-c")
+    serial = build_cons2ftbfs(g, 0, engine="lex-bulk")
     monkeypatch.setenv("REPRO_C_THREADS", "4")
     monkeypatch.setenv("REPRO_C_MT_MIN", "1")
     shared_cache().clear()
     kernel_dispatch_stats(g, reset=True)
-    threaded = build_cons2ftbfs(g, 0, engine="lex-c")
+    threaded = build_cons2ftbfs(g, 0, engine="lex-bulk")
     assert threaded.edges == serial.edges
     assert threaded.stats == serial.stats
     stats = kernel_dispatch_stats(g)
@@ -246,10 +242,10 @@ def test_pool_plus_threads_bit_identity(monkeypatch):
     g = erdos_renyi(40, 0.12, seed=21)
     sources = [0, 4, 8]
     serial = build_ft_mbfs(
-        g, sources, 2, builder=build_cons2ftbfs, jobs=1, engine="lex-c"
+        g, sources, 2, builder=build_cons2ftbfs, jobs=1, engine="lex-bulk"
     )
     sharded = build_ft_mbfs(
-        g, sources, 2, builder=build_cons2ftbfs, jobs=2, engine="lex-c"
+        g, sources, 2, builder=build_cons2ftbfs, jobs=2, engine="lex-bulk"
     )
     assert sharded.edges == serial.edges
     assert sharded.stats == serial.stats

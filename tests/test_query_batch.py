@@ -21,7 +21,6 @@ from repro.core.bulk import BulkCSRKernel
 from repro.core.canonical import (
     INF,
     BulkDistanceOracle,
-    CDistanceOracle,
     DistanceOracle,
     PythonDistanceOracle,
 )
@@ -56,22 +55,14 @@ def forced_bulk_oracle(graph):
     return BulkDistanceOracle(graph)
 
 
-def forced_c_oracle(graph):
-    """A C-tier oracle over the forced vectorized kernel."""
-    csr = csr_of(graph)
-    csr._bulk = BulkCSRKernel(csr, min_bulk_n=0)
-    return CDistanceOracle(graph)
-
-
 def oracle_families(graph):
-    families = [
+    """One oracle per family; the bulk family's batches run in C
+    wherever the C kernel loads (``REPRO_C_KERNEL=auto``)."""
+    return [
         ("python", PythonDistanceOracle(graph)),
         ("csr", DistanceOracle(graph)),
         ("bulk", forced_bulk_oracle(graph)),
     ]
-    if c_kernel_available():
-        families.append(("c", forced_c_oracle(graph)))
-    return families
 
 
 def random_requests(graph, rng, count, max_edges=3, max_vertices=2):
@@ -547,14 +538,9 @@ CONS2_SHAPES = {
 @pytest.mark.parametrize(
     "shape,engine",
     [
-        pytest.param(
-            shape,
-            engine,
-            id=shape + engine,
-            marks=needs_ckernel if engine == "lex-c" else (),
-        )
+        pytest.param(shape, engine, id=shape + engine)
         for shape in CONS2_SHAPES
-        for engine in ("lex", "lex-csr", "lex-bulk", "lex-c")
+        for engine in ("lex", "lex-csr", "lex-bulk")
     ],
 )
 def test_cons2_builds_identical_with_and_without_batching(shape, engine, monkeypatch):

@@ -404,10 +404,9 @@ class TestDifferentialCorpus:
                 assert len(step["signature"]) == 64
 
     def test_engine_ladder_is_exercised(self):
-        blueprint = load_blueprint(corpus_blueprints()[0])
-        engines = available_engines(blueprint.topology().graph)
-        # lex and lex-csr are always constructible; the vectorized and
-        # C tiers join wherever this host supports them.
+        engines = available_engines()
+        # lex and lex-csr are always registered; the vectorized tier
+        # joins wherever numpy imports.
         assert "lex" in engines and "lex-csr" in engines
 
 

@@ -167,11 +167,47 @@ class TestEndpoints:
                     resp = client.request(op, **fields)
                     assert resp["error_type"] == "GraphError", (op, target)
                     assert "not a vertex" in resp["error"]
+            non_edge = next(
+                [0, v] for v in range(1, n) if not structure.graph.has_edge(0, v)
+            )
+            for faults in ([[0, 999]], [non_edge], [[3, 3]], [[-1, 5]], [[0]]):
+                query = {"source": 0, "target": 5, "faults": faults}
+                for op, fields in (
+                    ("point", query),
+                    ("path", query),
+                    ("batch", {"queries": [query]}),
+                ):
+                    resp = client.request(op, **fields)
+                    assert resp["error_type"] == "GraphError", (op, faults)
             resp = client.request("explode")
             assert resp["error_type"] == "ProtocolError"
             resp = client.request("point", source=0)  # missing target
             assert resp["error_type"] == "ProtocolError"
+            # Valid JSON whose target python reads as inf: int() on it
+            # overflows, which is the client's fault, not the server's.
+            body = b'{"op":"point","source":0,"target":1e400}'
+            client._sock.sendall(struct.pack("!I", len(body)) + body)
+            resp = recv_msg(client._sock)
+            assert resp["error_type"] == "ProtocolError"
             assert client.ping()  # same connection still serves
+
+    def test_unexpected_exception_is_answered_and_counted(
+        self, running_server, monkeypatch
+    ):
+        structure, server, address = running_server
+
+        def boom(request):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setitem(server._ops, "boom", boom)
+        with ServeClient(address) as client:
+            resp = client.request("boom")
+            assert not resp["ok"]
+            assert resp["error_type"] == "InternalError"
+            assert "handler bug" in resp["error"]
+            assert client.ping()  # same connection still serves
+            boom_stats = client.stats()["endpoints"]["boom"]
+        assert boom_stats["count"] == 1 and boom_stats["errors"] == 1
 
     def test_stats_request_counts_are_exact(self, running_server):
         structure, server, address = running_server
@@ -218,7 +254,7 @@ class TestEndpoints:
             pytest.fail("listener still accepting after shutdown op")
 
 
-@pytest.mark.parametrize("engine", ["lex", "lex-csr", "lex-bulk", "lex-c"])
+@pytest.mark.parametrize("engine", ["lex", "lex-csr", "lex-bulk"])
 def test_served_answers_bit_identical_across_engines(tmp_path, engine):
     """Artifact-served results equal in-process results, per engine tier."""
     if engine not in ENGINES:

@@ -196,7 +196,7 @@ def test_unweighted_puts_ignore_weight_budget():
 def test_vector_namespace_respects_env_budget(monkeypatch):
     # a budget smaller than one distance vector: nothing is memoized,
     # but queries keep answering correctly
-    monkeypatch.setenv("REPRO_VEC_CACHE_INTS", "4")
+    monkeypatch.setattr(DistanceOracle, "VEC_CACHE_INTS", 4)
     g = erdos_renyi(20, 0.25, seed=3)
     oracle = DistanceOracle(g)
     before = shared_cache().oversize
@@ -207,12 +207,14 @@ def test_vector_namespace_respects_env_budget(monkeypatch):
 
 
 def test_search_memo_respects_weight_budget(monkeypatch):
-    monkeypatch.setenv("REPRO_SEARCH_CACHE_INTS", "4")
+    monkeypatch.setattr(CSRLexShortestPaths, "SEARCH_CACHE_INTS", 4)
     g = erdos_renyi(18, 0.25, seed=5)
     engine = CSRLexShortestPaths(g)
+    before = shared_cache().oversize
     res1 = engine.search(0)
     res2 = engine.search(0)
     assert res1.distances() == res2.distances()
+    assert shared_cache().oversize > before
 
 
 def test_bulk_namespace_access_matches_put_get():

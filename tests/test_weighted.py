@@ -3,15 +3,17 @@
 Proves the two weighted engines correct against each other and against
 an independent brute force (see ``docs/weighted.md``):
 
-* ``wlex`` (reference heap Dijkstra) ≡ ``wlex-csr`` (Dial/heap on the
-  CSR kernel) ≡ Bellman–Ford on distances, across fault restrictions;
+* ``wlex`` (reference heap Dijkstra) ≡ ``wlex-csr`` (Dial on the CSR
+  kernel, the reference search for other weights) ≡ Bellman–Ford on
+  distances, across fault restrictions;
 * exact parent equality between the engines (the settle-rank tie-break
   is deterministic) plus parent validity against the distances;
 * ECMP: predecessor DAGs identical across engines, ``ecmp_paths``
   equals an independent brute-force enumeration of all shortest paths;
 * uniform weights reproduce the hop engines **bit-for-bit** (the lex
   tie-break contract);
-* the Dial bucket queue and the heap fallback are bit-identical;
+* the Dial bucket queue and the reference search it delegates
+  non-Dial weights to are bit-identical;
 * weight validation, sentinel normalization, delta cache eviction,
   weighted topology loaders, and the oracle/batch/registry surfaces.
 """
@@ -315,7 +317,7 @@ class TestUniformWeightBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# Dial bucket queue vs heap fallback
+# Dial bucket queue vs the delegated reference search
 # ----------------------------------------------------------------------
 class TestDialVsHeap:
     def test_dial_engages_only_for_small_integers(self):
@@ -337,21 +339,41 @@ class TestDialVsHeap:
         assert not CSRWeightedShortestPaths(g2, cache=SnapshotCache())._use_dial
 
     def test_dial_and_heap_are_bit_identical(self):
+        """Dial against the reference heap search that non-Dial
+        weights delegate to, forced on the same tie-heavy graph."""
         for seed in range(4):
             graph = random_weighted_graph(14, 0.3, seed=seed, kind="tie-int")
             dial = CSRWeightedShortestPaths(graph, cache=SnapshotCache())
             heap = CSRWeightedShortestPaths(graph, cache=SnapshotCache())
             assert dial._use_dial
-            heap._use_dial = False  # force the fallback on the same graph
+            heap._use_dial = False  # delegate to the reference search
             sources = (0, graph.n - 1)
             for be, bv in restrictions_for(
                 graph, f"dial:{seed}", rounds=3, forbid=sources
             ):
                 for source in sources:
-                    rd = dial.search(source, be, bv)
-                    rh = heap.search(source, be, bv)
-                    assert list(rd.distances()) == list(rh.distances())
-                    assert parents_of(rd, graph.n) == parents_of(rh, graph.n)
+                    # target first: an early-exit search, then the
+                    # memo's promotion of it to a full search
+                    for target in (graph.n // 2, None):
+                        rd = dial.search(source, be, bv, target=target)
+                        rh = heap.search(source, be, bv, target=target)
+                        assert list(rd.distances()) == list(rh.distances())
+                        assert parents_of(rd, graph.n) == parents_of(
+                            rh, graph.n
+                        )
+
+    @pytest.mark.parametrize("kind", ["big-int", "float"])
+    def test_non_dial_weights_run_the_reference_inside_the_memo(self, kind):
+        graph = random_weighted_graph(14, 0.3, seed=2, kind=kind)
+        engine = CSRWeightedShortestPaths(graph, cache=SnapshotCache())
+        assert not engine._use_dial
+        reference = WeightedLexShortestPaths(graph)
+        for be, bv in restrictions_for(graph, f"memo:{kind}", rounds=3):
+            got = engine.search(0, be, bv)
+            want = reference.search(0, be, bv)
+            assert list(got.distances()) == list(want.distances())
+            assert parents_of(got, graph.n) == parents_of(want, graph.n)
+            assert engine.search(0, be, bv) is got  # served by the memo
 
     def test_target_early_exit_matches_full_search(self):
         graph = random_weighted_graph(14, 0.3, seed=9, kind="tie-int")

@@ -5,7 +5,7 @@ generators the weighted differential suites share
 (``tests/test_weighted.py``, ``tests/test_csr_equivalence.py``):
 tie-heavy small-integer weightings that keep the Dial bucket queue and
 the deterministic tie-break under pressure, and float weightings that
-force the heap fallback.  ``random_restriction`` (random banned
+send the CSR engine to the reference search.  ``random_restriction`` (random banned
 edge/vertex sets) lives here too so every equivalence suite draws
 faults the same way.
 """
@@ -70,10 +70,11 @@ def reweight(graph, seed, kind="tie-int"):
       shortest paths, maximal pressure on the deterministic tie-break,
       and all weights within the Dial crossover.
     * ``"big-int"`` — integers from ``[1, 200]``: still exact integer
-      arithmetic, but above ``DIAL_MAX_WEIGHT``, forcing the CSR
-      engine's heap fallback.
+      arithmetic, but above ``DIAL_MAX_WEIGHT``, so the CSR engine runs
+      the reference heap search.
     * ``"float"`` — floats from ``(0.1, 4.0)`` rounded to 3 decimals
-      (ties still possible): the heap path with fractional distances.
+      (ties still possible): the reference path with fractional
+      distances.
     """
     rng = random.Random(f"reweight:{kind}:{seed}")
     if kind == "tie-int":
@@ -99,8 +100,8 @@ def weighted_zoo():
     """Deterministic weighted companions to the unweighted zoo.
 
     Every unweighted zoo graph appears under the tie-heavy integer
-    weighting; a few reappear under big-integer (heap fallback) and
-    float weightings so each queue discipline is always exercised.
+    weighting; a few reappear under big-integer (reference search) and
+    float weightings so both search paths are always exercised.
     """
     out = [
         (f"{name}+w", reweight(g, i, kind="tie-int"))
