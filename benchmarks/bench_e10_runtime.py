@@ -9,9 +9,10 @@ Since the flat-array traversal kernel landed, E10 additionally measures
 the **engine speedup**: the identical end-to-end workload (all exact
 builders plus a 200-query batch) is timed under the legacy ``lex``
 engine (layered dict BFS + hash-set ban tests, the pre-kernel system),
-the default ``lex-csr`` engine (pooled python CSR kernel), and the
-vectorized ``lex-bulk`` engine (numpy whole-frontier kernel), across a
-ladder of graph sizes reaching n=1000.  The process-wide snapshot
+the default ``lex-csr`` engine (pooled CSR kernel, its searches in C
+whenever the C kernel loads), and the vectorized ``lex-bulk`` engine
+(numpy whole-frontier kernel), across a ladder of graph sizes reaching
+n=1000.  The process-wide snapshot
 cache is cleared before every timed round so each arm is measured
 cold.  Results — including the speedups the kernels are required to
 sustain at the largest size — are persisted as machine-readable

@@ -24,18 +24,19 @@ redirect every relative output path (structures, artifacts, ``bench
 Engines (``--engine``): ``lex-csr`` (default; flat-array CSR kernel),
 ``lex-bulk`` (vectorized numpy bulk kernel — whole-frontier expansion,
 bit-identical results, fastest on large graphs; available when numpy
-is installed; its batched point queries run in the compiled C kernel
-whenever it loads, and ``REPRO_C_KERNEL=on`` makes that a requirement
-— see ``docs/kernels.md``), ``lex`` (legacy layered reference),
+is installed), ``lex`` (legacy layered reference),
 ``perturbed`` (paper-literal randomized weights),
 plus the weighted family ``wlex`` / ``wlex-csr`` (deterministic
 Dijkstra over real edge weights with an ECMP query surface — see
-``docs/weighted.md``).  The weighted engines compute weighted
-distances, so ``--engine all`` comparisons (``bench``, ``scenarios``)
-deliberately leave them out: their report bodies are only comparable
-to each other, not to the hop-count engines; select them explicitly
-to sweep them (uniform-weight graphs then reproduce the lex bodies
-bit-for-bit).
+``docs/weighted.md``).  ``lex-csr`` and ``lex-bulk`` run their
+restricted searches, full sweeps and multi-pair batches in the
+compiled C kernel whenever it loads, and ``REPRO_C_KERNEL=on`` makes
+that a requirement (see ``docs/kernels.md``).  The weighted engines
+compute weighted distances, so ``--engine all`` comparisons
+(``bench``, ``scenarios``) deliberately leave them out: their report
+bodies are only comparable to each other, not to the hop-count
+engines; select them explicitly to sweep them (uniform-weight graphs
+then reproduce the lex bodies bit-for-bit).
 Builders answer their feasibility point queries through the batched
 plan→dedupe→execute pipeline of :mod:`repro.core.query_batch`
 (vectorized multi-pair execution under ``lex-bulk``; set
@@ -43,8 +44,8 @@ plan→dedupe→execute pipeline of :mod:`repro.core.query_batch`
 --engine all`` times every hop engine on the same workload and
 reports speedups against the legacy ``lex`` engine, the kernel tier
 that actually served each arm's batched queries (auto-dispatch is
-otherwise invisible — ``REPRO_C_KERNEL=auto`` accelerates ``lex-bulk``
-too whenever the C kernel loads), plus the snapshot-cache
+otherwise invisible — ``REPRO_C_KERNEL=auto`` accelerates ``lex-csr``
+and ``lex-bulk`` whenever the C kernel loads), plus the snapshot-cache
 hit/miss/eviction counters of one cold build; the process-wide
 snapshot cache (which lets builders share restricted-search results)
 is cleared before every timed round so no engine is measured against
@@ -328,12 +329,12 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
 
 
 def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
-    """Which kernel tier actually served an arm's batched point queries.
+    """Which kernel tier actually served an arm's searches and batches.
 
     Auto-dispatch (``REPRO_C_KERNEL``, ``REPRO_BULK_MIN_N``) makes the
     executing tier invisible in the timings, so ``repro bench`` derives
-    it from the bulk kernel's dispatch counters after the build.
-    Engines that never touch the bulk kernel report their fixed tier.
+    it from the snapshot's dispatch counters after the build.  Engines
+    that never touch the C or bulk kernels report their fixed tier.
     """
     if engine == "lex":
         return "python (legacy)"
@@ -341,14 +342,17 @@ def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
         return "python (weighted heap)"
     if engine == "wlex-csr":
         return "csr (weighted dial; reference heap otherwise)"
-    if engine in ("lex-csr", "perturbed"):
-        return "csr"
     if not stats or not any(stats.values()):
+        if engine in ("lex-csr", "perturbed"):
+            return "csr"
         return "csr (no vectorized batch ran)"
     served = []
     if stats.get("pairs_c_mt"):
         served.append("c-mt")
-    if stats.get("pairs_c") or stats.get("sweeps_c"):
+    if any(
+        stats.get(key)
+        for key in ("searches_c", "full_sweeps_c", "pairs_c", "sweeps_c")
+    ):
         served.append("c")
     if stats.get("pairs_dense") or stats.get("sweeps_numpy"):
         served.append("numpy")
@@ -514,7 +518,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ds = r["kernel_dispatch"]
         if ds and any(ds.values()):
             print(
-                f"             kernel: {tier} — pairs "
+                f"             kernel: {tier} — searches "
+                f"{ds.get('searches_c', 0)} c, full sweeps "
+                f"{ds.get('full_sweeps_c', 0)} c; pairs "
                 f"{ds.get('pairs_c_mt', 0)} c-mt / "
                 f"{ds['pairs_c']} c / {ds['pairs_dense']} numpy / "
                 f"{ds['pairs_cutover']} cutover; sweep targets "

@@ -1,15 +1,21 @@
-/* C batch kernels for the restricted point-query hot paths.
+/* C kernels for the restricted-search hot paths.
  *
- * This file implements the two batch entry points of the traversal
- * stack — multi-pair bidirectional point queries and the shared-sweep
+ * This file implements the restricted searches of the traversal stack
+ * — the parent-producing canonical BFS and its distance-only sweep,
+ * multi-pair bidirectional point queries and the shared-sweep
  * multi-target query — as plain C over the same flat CSR arrays the
  * python and numpy kernels read (`indptr` int64, `nbr`/`arc_eid`
- * int32).  It removes the per-probe cost the numpy kernel cannot: the
- * lock-step numpy waves still pay python/array dispatch per BFS round,
- * which dominates on shallow expander workloads where each search
- * finishes in 2-3 rounds (see docs/kernels.md).
+ * int32).  It removes the per-arc interpretation cost of the python
+ * kernel and the per-round dispatch cost of the numpy kernel, which
+ * dominates on shallow expander workloads where each search finishes
+ * in 2-3 rounds (see docs/kernels.md).
  *
- * Semantics are a direct port of the scalar reference
+ * repro_bfs is a direct port of CSRGraph.bfs / bfs_dists: a FIFO
+ * search over the sorted CSR rows keeping the first discoverer as
+ * parent, which is the lex-minimal canonical tree (argument in the
+ * docstring of repro/core/csr.py), stopping at the target's discovery.
+ *
+ * The batch kernels port the scalar reference
  * (CSRGraph.bidir_distance / BulkCSRKernel.multi_target_dists):
  *
  *  - meet-in-the-middle search growing the smaller frontier (ties to
@@ -75,12 +81,74 @@ PyInit__ckernel(void)
 /* Bumped whenever an exported signature changes; the ctypes wrapper
  * refuses a library whose ABI tag it does not recognize (stale cached
  * build of an older source). */
-#define REPRO_CKERNEL_ABI 3
+#define REPRO_CKERNEL_ABI 4
 
 REPRO_EXPORT int64_t
 repro_ckernel_abi(void)
 {
     return REPRO_CKERNEL_ABI;
+}
+
+/* One restricted BFS from `source`: FIFO over the sorted CSR rows, the
+ * first discoverer kept as parent (the canonical lex-minimal tree).
+ * bans[0 .. ne) are banned edge ids and bans[ne .. ne + nv) banned
+ * vertices; both are stamped with `gen` into the caller-owned eban /
+ * vban tables, so a restriction costs O(|F|) and nothing is cleared.
+ * dist (and parent, unless NULL, which gives the distance-only sweep)
+ * are rewritten in full: -1 for every vertex the search did not
+ * discover, parent[source] == source.  With 0 <= target < n the search
+ * stops at the target's *discovery*, exactly like CSRGraph.bfs, so the
+ * discovered set (and with it every output entry) is identical to the
+ * python kernel's.  Returns the target's distance, or -1 when there is
+ * no target or the restriction cuts it off.  queue holds n entries. */
+REPRO_EXPORT int64_t
+repro_bfs(const int64_t *indptr, const int32_t *nbr, const int32_t *arc_eid,
+          int64_t n, int32_t source, int64_t target,
+          int64_t ne, int64_t nv, const int32_t *bans, int64_t gen,
+          int64_t *eban, int64_t *vban, int32_t *queue,
+          int32_t *dist, int32_t *parent)
+{
+    for (int64_t i = 0; i < n; i++)
+        dist[i] = -1;
+    if (parent)
+        for (int64_t i = 0; i < n; i++)
+            parent[i] = -1;
+    int have_e = ne > 0;
+    int have_v = nv > 0;
+    for (int64_t i = 0; i < ne; i++)
+        eban[bans[i]] = gen;
+    for (int64_t i = ne; i < ne + nv; i++)
+        vban[bans[i]] = gen;
+    if (have_v && vban[source] == gen)
+        return -1;
+    dist[source] = 0;
+    if (parent)
+        parent[source] = source;
+    if (target == source)
+        return 0;
+    int64_t head = 0, tail = 0;
+    queue[tail++] = source;
+    while (head < tail) {
+        int32_t u = queue[head++];
+        int32_t du = dist[u] + 1;
+        int64_t p_end = indptr[u + 1];
+        for (int64_t p = indptr[u]; p < p_end; p++) {
+            int32_t w = nbr[p];
+            if (dist[w] >= 0)
+                continue;
+            if (have_e && eban[arc_eid[p]] == gen)
+                continue;
+            if (have_v && vban[w] == gen)
+                continue;
+            dist[w] = du;
+            if (parent)
+                parent[w] = u;
+            if (w == target)
+                return du;
+            queue[tail++] = w;
+        }
+    }
+    return -1;
 }
 
 /* One meet-in-the-middle restricted point query (see file header for

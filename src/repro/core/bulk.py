@@ -48,17 +48,19 @@ crossover) the kernel transparently delegates every call to the shared
 python kernel of the same snapshot — results are identical either way,
 so the switch is purely a performance decision.
 
-**C kernel tier.**  The two batch entry points —
+**C kernel tier.**  Searches (:meth:`BulkCSRKernel.bfs` /
+:meth:`BulkCSRKernel.bfs_dists`) and the two batch entry points —
 :meth:`BulkCSRKernel.multi_pair_dists` and
 :meth:`BulkCSRKernel.multi_target_dists` — additionally dispatch to
-the compiled C kernel of :mod:`repro.core.ckernel` when it is
-available and ``REPRO_C_KERNEL`` allows (``auto``/``on``/``off``):
-the C tier runs the same searches over the same flat arrays with zero
-per-round dispatch cost, which is what closes the gap on shallow
-expander workloads where the lock-step numpy waves finish in 2-3
-rounds (see ``docs/kernels.md`` for the full ladder).  Results are
-bit-identical across all tiers; :attr:`BulkCSRKernel.dispatch_stats`
-records which tier actually served each batch.
+the compiled C kernel the snapshot holds
+(:meth:`repro.core.csr.CSRGraph.c_kernel`) when it is available and
+``REPRO_C_KERNEL`` allows (``auto``/``on``/``off``): the C tier runs
+the same searches over the same flat arrays with zero per-round
+dispatch cost, which is what closes the gap on shallow expander
+workloads where the lock-step numpy waves finish in 2-3 rounds (see
+``docs/kernels.md`` for the full ladder).  Results are bit-identical
+across all tiers; the snapshot's ``dispatch_stats`` record which tier
+actually served each search and batch.
 
 The kernel is cached per CSR snapshot via :func:`bulk_of` (and thereby
 per graph version), so the ``lex-bulk`` engine, the bulk distance
@@ -74,12 +76,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.csr import CSRGraph, UNREACHED, csr_of
-from repro.core.ckernel import (
-    CKernel,
-    c_kernel_mode,
-    load_c_library,
-    plan_c_threads,
-)
 from repro.core.graph import Graph
 
 #: Below this vertex count the python kernel is faster and the bulk
@@ -99,27 +95,28 @@ def _min_bulk_n() -> int:
 
 
 def kernel_dispatch_stats(graph: Graph, reset: bool = False):
-    """Dispatch counters of ``graph``'s cached bulk kernel, or ``None``.
+    """Dispatch counters of ``graph``'s cached snapshot, or ``None``.
 
-    Returns a copy of :attr:`BulkCSRKernel.dispatch_stats` — how many
-    multi-pair queries / sweep targets each kernel tier (C, numpy,
-    scalar cutover) actually served — so auto-dispatch decisions are
-    observable after the fact (``repro bench`` and the E16 benchmark
-    report them per arm).  ``reset``
-    zeroes the live counters after copying.  ``None`` when the graph
-    has no live bulk kernel (pure-python engines never build one).
+    Returns a copy of the snapshot's ``dispatch_stats`` — how many
+    searches (``searches_c``) and full sweeps (``full_sweeps_c``) ran
+    in C, and how many multi-pair queries / sweep targets each kernel
+    tier (C, numpy, scalar cutover) actually served — so auto-dispatch
+    decisions are observable after the fact (``repro bench`` and the
+    E16 benchmark report them per arm).  ``reset`` zeroes the live
+    counters after copying.  ``None`` when the snapshot has neither a
+    C kernel nor a bulk kernel (the python kernel served everything).
     """
     csr = graph._csr_cache
-    kernel = csr._bulk if csr is not None else None
-    if kernel is None:
+    if csr is None or (csr._bulk is None and csr._ck is None):
         return None
+    live = csr.dispatch_stats
     stats = {
         key: (dict(value) if isinstance(value, dict) else value)
-        for key, value in kernel.dispatch_stats.items()
+        for key, value in live.items()
     }
     if reset:
-        for key, value in kernel.dispatch_stats.items():
-            kernel.dispatch_stats[key] = {} if isinstance(value, dict) else 0
+        for key, value in live.items():
+            live[key] = {} if isinstance(value, dict) else 0
     return stats
 
 
@@ -185,13 +182,11 @@ class BulkCSRKernel:
         "_mp_last",
         "_mp_eban",
         "_mp_vban",
-        # C kernel tier (lazy; see _ckernel) + last stamped restriction
-        # (so the C sweep path can re-stamp its own tables) + per-tier
-        # dispatch counters (what `repro bench` reports as the kernel
-        # tier that actually served each arm).
-        "_ck",
-        "_ck_failed",
+        # Last stamped restriction (so the C tier can re-stamp its own
+        # tables), whether the last bfs/bfs_dists ran in C, and the
+        # snapshot's per-tier dispatch counters (shared dict).
         "_last_stamp",
+        "_c_out",
         "dispatch_stats",
     )
 
@@ -206,30 +201,19 @@ class BulkCSRKernel:
         self.eid_cap = csr.eid_cap
         threshold = _min_bulk_n() if min_bulk_n is None else min_bulk_n
         self.vectorized = n >= threshold
-        self._ck = None
-        self._ck_failed = False
-        self._last_stamp = None
-        #: Which kernel tier actually answered each batch entry point
-        #: (auto-dispatch is otherwise invisible); queries/targets are
-        #: counted, not calls.  Read/reset via ``kernel_dispatch_stats``.
-        self.dispatch_stats = {
-            "pairs_c": 0,
-            "pairs_c_mt": 0,
-            # thread index -> pairs served by that thread under the
-            # strided multi-pair split (observability for the
-            # interleaved assignment; sums to pairs_c_mt).
-            "pairs_c_mt_threads": {},
-            "pairs_dense": 0,
-            "pairs_cutover": 0,
-            "sweeps_c": 0,
-            "sweeps_numpy": 0,
-        }
+        self._last_stamp = (0, (), ())
+        self._c_out = False
+        #: The snapshot's per-tier dispatch counters (one dict, shared
+        #: with the python kernel); read/reset via kernel_dispatch_stats.
+        self.dispatch_stats = csr.dispatch_stats
         if not self.vectorized:
             return
-        # Flat topology as numpy views/copies.  ``indptr`` stays int64
-        # (it indexes arc slots); vertices, edge ids and the per-arc
-        # source table are int32 frontier currency.
-        self._indptr = np.asarray(csr.indptr, dtype=np.int64)
+        # Flat topology as numpy copies, never views: an adopted
+        # (artifact) snapshot's arrays are mmap-backed memoryviews, and
+        # a view would pin the mapping.  ``indptr`` stays int64 (it
+        # indexes arc slots); vertices, edge ids and the per-arc source
+        # table are int32 frontier currency.
+        self._indptr = np.array(csr.indptr, dtype=np.int64)
         self._indptr1 = self._indptr[1:]  # ends view: take() without +1
         self._ipl = csr.indptr  # array('q'): cheap python-int scalar reads
         self._nbr = np.asarray(csr.nbr, dtype=np.int32)
@@ -315,43 +299,11 @@ class BulkCSRKernel:
     # ------------------------------------------------------------------
     # C kernel tier dispatch
     # ------------------------------------------------------------------
-    def _ckernel(self) -> Optional[CKernel]:
-        """The compiled C kernel serving this snapshot, or ``None``.
-
-        ``REPRO_C_KERNEL`` dispatch: ``off`` always returns ``None``,
-        ``auto`` (default) returns the kernel when the library loads
-        and ``None`` otherwise, ``on`` raises on load failure instead
-        of degrading (the CI tier guard).  The mode is re-read per call
-        (benchmark arms flip it between timed runs on one cached
-        kernel); the load attempt and the per-snapshot scratch are
-        resolved once.
-        """
-        mode = c_kernel_mode()
-        if mode == "off" or not self.vectorized:
-            return None
-        ck = self._ck
-        if ck is None:
-            if self._ck_failed and mode != "on":
-                return None
-            lib, detail = load_c_library()
-            if lib is None:
-                self._ck_failed = True
-                if mode == "on":
-                    raise RuntimeError(
-                        f"REPRO_C_KERNEL=on but the C kernel is "
-                        f"unavailable: {detail}"
-                    )
-                return None
-            ck = CKernel(
-                lib, self.n, self.eid_cap, self._indptr, self._nbr, self._arc_eid
-            )
-            self._ck = ck
-        return ck
-
     @property
     def c_active(self) -> bool:
-        """True when batch entry points currently dispatch to C."""
-        return self._ckernel() is not None
+        """True when searches and batch entry points currently dispatch
+        to the snapshot's C kernel (:meth:`CSRGraph.c_kernel`)."""
+        return self.csr.c_active
 
     # ------------------------------------------------------------------
     # the bulk kernel
@@ -470,6 +422,10 @@ class BulkCSRKernel:
         """
         if not self.vectorized:
             return self.csr.bfs(source, ban, target)
+        hops = self.csr.c_search(self._last_stamp, source, ban, target, True)
+        self._c_out = hops is not None
+        if self._c_out:
+            return hops
         bg, _, have_v = ban
         gen = self._gen + 1
         self._gen = gen
@@ -498,6 +454,10 @@ class BulkCSRKernel:
         """
         if not self.vectorized:
             self.csr.bfs_dists(source, ban)
+            return
+        hops = self.csr.c_search(self._last_stamp, source, ban, None, False)
+        self._c_out = hops is not None
+        if self._c_out:
             return
         bg, _, have_v = ban
         gen = self._gen + 1
@@ -534,12 +494,12 @@ class BulkCSRKernel:
             return self.csr.bidir_distances(
                 [(source, t) for t in targets], ban
             )
-        ck = self._ckernel()
+        ck = self.csr.c_kernel()
         if ck is not None:
-            last = self._last_stamp
-            if last is not None and last[0] == ban[0]:
+            stamp = self._last_stamp
+            if stamp[0] == ban[0]:
                 self.dispatch_stats["sweeps_c"] += len(targets)
-                return ck.multi_target_dists(source, targets, last[1], last[2])
+                return ck.multi_target_dists(source, targets, stamp[1], stamp[2])
         self.dispatch_stats["sweeps_numpy"] += len(targets)
         bg, _, have_v = ban
         gen = self._gen + 1
@@ -611,30 +571,12 @@ class BulkCSRKernel:
 
         Returns raw hops aligned with ``queries`` (``-1`` = cut).
         """
-        if not self.vectorized:
-            csr = self.csr
-            out: List[int] = []
-            for source, target, eids, verts in queries:
-                ban = csr.stamp_edge_ids(eids, verts)
-                out.append(csr.bidir_distance(source, target, ban))
-            return out
-        ck = self._ckernel()
-        if ck is not None:
-            # C tier: the whole batch is one library call — no chunking
-            # and no scalar tail cutover, the per-query fixed cost the
-            # lock-step schedule exists to amortize is gone.  Batches
-            # clearing the REPRO_C_THREADS / REPRO_C_MT_MIN bar run on
-            # the threaded entry point (bit-identical results).
-            threads = plan_c_threads(len(queries))
-            if threads > 1:
-                self.dispatch_stats["pairs_c_mt"] += len(queries)
-                # Interleaved split: thread t serves queries t, t+T, ...
-                per = self.dispatch_stats["pairs_c_mt_threads"]
-                for t in range(threads):
-                    per[t] = per.get(t, 0) + len(range(t, len(queries), threads))
-            else:
-                self.dispatch_stats["pairs_c"] += len(queries)
-            return ck.multi_pair_dists(queries, threads=threads)
+        if not self.vectorized or self.csr.c_active:
+            # C tier (or, below the vectorization crossover, the pooled
+            # scalar loop): the whole batch is one library call — no
+            # chunking and no scalar tail cutover, the per-query fixed
+            # cost the lock-step schedule exists to amortize is gone.
+            return self.csr.multi_pair_dists(queries)
         # Chunking keeps the per-(query, side) label tables
         # cache-friendly — the scalar kernel's n-sized tables live in
         # L1, and the chunked tables should at least stay within L2/L3
@@ -881,6 +823,9 @@ class BulkCSRKernel:
         """
         if not self.vectorized:
             return self.csr.collect()
+        if self._c_out:
+            ck = self.csr._ck
+            return ck.distances(), ck.parents()
         live = self._visit == self._gen
         dist_out = np.where(live, self._dist, UNREACHED).tolist()
         parent_out = np.where(live, self._parent, UNREACHED).tolist()
@@ -890,6 +835,8 @@ class BulkCSRKernel:
         """The last search's full distance vector (``-1`` = unreached)."""
         if not self.vectorized:
             return self.csr.distances_list()
+        if self._c_out:
+            return self.csr._ck.distances()
         live = self._visit == self._gen
         return np.where(live, self._dist, UNREACHED).tolist()
 
@@ -897,4 +844,6 @@ class BulkCSRKernel:
         """Distance of ``v`` in the last search (``-1`` if unreached)."""
         if not self.vectorized:
             return self.csr.last_distance(v)
+        if self._c_out:
+            return self.csr._ck.distance(v)
         return int(self._dist[v]) if self._visit[v] == self._gen else UNREACHED

@@ -16,7 +16,10 @@ that abstraction with four interchangeable engines:
     paths (see the kernel module docstring for the argument), so this
     engine is bit-for-bit equivalent to ``LexShortestPaths`` — asserted
     by ``tests/test_csr_equivalence.py`` — while being several times
-    faster.
+    faster.  Its searches, full sweeps and multi-pair batches run in
+    the compiled C kernel of :mod:`repro.core.ckernel` whenever it
+    loads (``REPRO_C_KERNEL``; the same FIFO first-discoverer search),
+    and on the python kernel otherwise.
 
 ``LexShortestPaths`` (``"lex"``)
     The legacy layered reference implementation of the same order.  It
@@ -52,13 +55,13 @@ that abstraction with four interchangeable engines:
     python kernel once graphs outgrow the per-level vectorization
     overhead (n ≳ 500).  On small graphs the bulk kernel transparently
     delegates to the python kernel, so the engine is never worse than
-    ``lex-csr`` by more than a constant.  Its batched point-query
-    strategies (cross-query multi-pair, shared early-exit sweeps)
-    dispatch to the compiled C kernel of :mod:`repro.core.ckernel`
-    whenever it loads; under ``REPRO_C_KERNEL=on`` a vectorized batch
-    that cannot reach C raises instead of degrading (see
-    ``docs/kernels.md`` for the full ladder).  Registered only when
-    numpy is importable.
+    ``lex-csr`` by more than a constant.  Its searches, sweeps and
+    batched point-query strategies (cross-query multi-pair, shared
+    early-exit sweeps) dispatch to the compiled C kernel of
+    :mod:`repro.core.ckernel` whenever it loads; under
+    ``REPRO_C_KERNEL=on`` a search or batch that cannot reach C raises
+    instead of degrading (see ``docs/kernels.md`` for the full
+    ladder).  Registered only when numpy is importable.
 
 Fault simulation is expressed with *banned* vertex/edge sets interpreted
 in the traversal inner loop — restricted graphs like ``G \\ F``,
@@ -162,30 +165,44 @@ class SearchResult:
     Exposes distances (in hops), canonical parents, and canonical path
     extraction.  ``parent[source] == source``; unreached vertices have
     ``parent == dist == -1`` internally and distance ``inf`` externally.
+    ``parent`` is any int sequence: a list, or the compact
+    ``array('i')`` a C-served search hands back.  Every per-vertex
+    accessor rejects a vertex outside ``[0, n)`` with
+    :class:`~repro.core.errors.GraphError` instead of letting a
+    negative index alias another vertex.
     """
 
-    __slots__ = ("source", "_dist", "_parent")
+    __slots__ = ("source", "_n", "_dist", "_parent")
 
-    def __init__(self, source: int, dist: List[int], parent: List[int]) -> None:
+    def __init__(self, source: int, dist: List[int], parent: Sequence[int]) -> None:
         self.source = source
+        self._n = len(dist)
         self._dist = dist
         self._parent = parent
 
+    def _check(self, v: int) -> None:
+        if not 0 <= v < self._n:
+            raise GraphError(f"vertex {v} outside [0, {self._n})")
+
     def reached(self, v: int) -> bool:
         """True iff ``v`` is reachable from the source in the restriction."""
+        self._check(v)
         return self._dist[v] != UNREACHED
 
     def dist(self, v: int) -> float:
         """Hop distance to ``v`` (``inf`` if unreachable)."""
+        self._check(v)
         d = self._dist[v]
         return INF if d == UNREACHED else d
 
     def dist_or_unreached(self, v: int) -> int:
         """Raw hop distance (``-1`` when unreachable); avoids float math."""
+        self._check(v)
         return self._dist[v]
 
     def parent(self, v: int) -> int:
         """Canonical BFS parent of ``v`` (``-1`` if unreached)."""
+        self._check(v)
         return self._parent[v]
 
     def path(self, v: int) -> Path:
@@ -193,6 +210,7 @@ class SearchResult:
 
         Raises :class:`DisconnectedError` when ``v`` is unreachable.
         """
+        self._check(v)
         if self._dist[v] == UNREACHED:
             raise DisconnectedError(
                 f"vertex {v} unreachable from {self.source} under restriction"

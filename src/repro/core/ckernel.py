@@ -1,14 +1,17 @@
-"""Loader + ctypes wrapper for the compiled C batch kernel (``_ckernel.c``).
+"""Loader + ctypes wrapper for the compiled C kernel (``_ckernel.c``).
 
 The third tier of the kernel ladder (python → numpy → C; see
-``docs/kernels.md``): the two batch hot paths of the point-query
-pipeline — :meth:`CKernel.multi_pair_dists` and
+``docs/kernels.md``): the restricted canonical search and its
+distance-only sweep (:meth:`CKernel.bfs`, behind ``CSRGraph.bfs`` /
+``bfs_dists`` and their numpy twins) and the two batch hot paths of
+the point-query pipeline — :meth:`CKernel.multi_pair_dists` and
 :meth:`CKernel.multi_target_dists` — implemented in plain C over the
 same flat CSR arrays every other tier reads.  The C tier removes the
-cost the numpy lock-step kernel cannot: per-round python/array
-dispatch, which dominates on shallow expander workloads whose searches
-finish in 2-3 rounds.  Results are bit-identical to every other tier
-(same exactness argument, same ban-stamp semantics, same ``-1``
+per-arc interpretation cost of the python kernel and the per-round
+python/array dispatch of the numpy kernel, which dominates on shallow
+expander workloads whose searches finish in 2-3 rounds.  Results are
+bit-identical to every other tier (same FIFO first-discoverer order,
+same exactness argument, same ban-stamp semantics, same ``-1``
 conventions); the only thing that changes is the wall clock.
 
 **Loading.**  ``_ckernel.c`` carries no CPython dependency, so one
@@ -32,7 +35,8 @@ Environment knobs (see ``docs/tuning.md``):
 ``REPRO_C_KERNEL``
     ``auto`` (default) uses the C kernel whenever it loads, silently
     degrading otherwise; ``on`` makes load failures raise instead of
-    degrade (CI's tier guard); ``off`` never touches it.
+    degrade (CI's tier guard); ``off`` never touches it.  The library
+    loads on the first search, never at import.
 ``REPRO_C_KERNEL_CC``
     Compiler for the on-demand build (default: ``$CC``, then the
     interpreter's configured compiler, then ``cc``).
@@ -63,13 +67,16 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+from array import array
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.errors import GraphError
+
 #: ABI tag the wrapper expects; must match the ABI macro in
 #: ``_ckernel.c`` (a mismatched cached build is rejected and rebuilt).
-ABI = 3
+ABI = 4
 
 #: Default ``REPRO_C_MT_MIN``: below this many queries per batch the
 #: serial C entry point wins (thread spawn ~tens of µs vs ~1 µs/pair).
@@ -172,6 +179,15 @@ def _configure(lib: ctypes.CDLL) -> Tuple[Optional[ctypes.CDLL], str]:
         return None, f"library ABI {abi} != expected {ABI} (stale build)"
     c64 = ctypes.c_int64
     c32 = ctypes.c_int32
+    lib.repro_bfs.restype = c64
+    lib.repro_bfs.argtypes = [
+        _P64, _P32, _P32,  # indptr, nbr, arc_eid
+        c64, c32, c64,  # n, source, target (-1 = none)
+        c64, c64, _P32,  # ne, nv, bans (edge ids then vertices)
+        c64,  # gen
+        _P64, _P64, _P32,  # eban, vban, queue
+        _P32, _P32,  # dist, parent (NULL = distances only)
+    ]
     lib.repro_multi_pair_dists.restype = None
     lib.repro_multi_pair_dists.argtypes = [
         _P64, _P32, _P32,  # indptr, nbr, arc_eid
@@ -353,17 +369,28 @@ def _p32(arr: np.ndarray):
     return arr.ctypes.data_as(_P32)
 
 
+def _check_range(arr: np.ndarray, bound: int, what: str) -> None:
+    """Raise :class:`GraphError` unless every entry lies in ``[0, bound)``.
+
+    The C side indexes its scratch tables with these ids unchecked, so
+    an out-of-range id must be rejected here, never passed on.
+    """
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= bound):
+        raise GraphError(f"{what} outside [0, {bound})")
+
+
 class CKernel:
     """Per-snapshot scratch + entry points for the compiled C kernels.
 
-    Owned by a :class:`~repro.core.bulk.BulkCSRKernel` (one per CSR
-    snapshot, like every other pooled scratch set): the CSR topology
-    views are shared with the numpy kernel, the stamped visit/ban
-    tables are allocated once here and recycled with the same
-    generation discipline as the python kernel — the C side never
-    clears anything, it only compares stamps against the generation
-    the wrapper hands it and the wrapper advances its counter past
-    every generation consumed.
+    Owned by a CSR snapshot (:meth:`repro.core.csr.CSRGraph.c_kernel`),
+    so the python and numpy kernels of one snapshot share one.  The
+    flat topology is copied once, the stamped visit/ban tables are
+    allocated once and recycled with the same generation discipline as
+    the python kernel — the C side never clears anything, it only
+    compares stamps against the generation the wrapper hands it and the
+    wrapper advances its counter past every generation consumed.  The
+    ctypes pointers of every persistent array are built once as well:
+    a ``data_as`` cast per call costs more than a small search.
     """
 
     __slots__ = (
@@ -382,15 +409,20 @@ class CKernel:
         "_tmark",
         "_fr",
         "_queue",
+        "_dist",
+        "_parent",
+        "_parent_bytes",
+        "_bans",
         "_gen",
+        "_p_topo",
+        "_p_pair",
+        "_p_sweep",
+        "_p_bfs",
+        "_p_dist",
+        "_p_parent",
         "_mt_threads",
-        "_mt_visit_s",
-        "_mt_dist_s",
-        "_mt_visit_t",
-        "_mt_dist_t",
-        "_mt_eban",
-        "_mt_vban",
-        "_mt_fr",
+        "_mt_scratch_arrays",
+        "_p_mt",
     )
 
     def __init__(
@@ -398,16 +430,19 @@ class CKernel:
         lib: ctypes.CDLL,
         n: int,
         m: int,
-        indptr: np.ndarray,
-        nbr: np.ndarray,
-        arc_eid: np.ndarray,
+        indptr,
+        nbr,
+        arc_eid,
     ) -> None:
         self._lib = lib
         self.n = n
         self.m = max(m, 1)
-        self._indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self._nbr = np.ascontiguousarray(nbr, dtype=np.int32)
-        self._arc_eid = np.ascontiguousarray(arc_eid, dtype=np.int32)
+        # Copies, never views: an adopted (artifact) snapshot's flat
+        # arrays are mmap-backed memoryviews, and a numpy view would pin
+        # the mapping (Artifact.close() would then raise BufferError).
+        self._indptr = np.array(indptr, dtype=np.int64)
+        self._nbr = np.array(nbr, dtype=np.int32)
+        self._arc_eid = np.array(arc_eid, dtype=np.int32)
         # Stamped scratch (python-kernel pooling invariants 1-3 apply):
         # generations start at 1, every table starts below any stamp.
         self._visit_s = np.full(n, -1, dtype=np.int64)
@@ -419,35 +454,151 @@ class CKernel:
         self._tmark = np.zeros(n, dtype=np.int64)
         self._fr = np.empty((4, max(n, 1)), dtype=np.int32)
         self._queue = np.empty(max(n, 1), dtype=np.int32)
+        # repro_bfs outputs, rewritten in full by every search.
+        self._dist = np.empty(n, dtype=np.int32)
+        self._parent = np.empty(n, dtype=np.int32)
+        self._parent_bytes = self._parent.view(np.uint8)
+        self._bans = (ctypes.c_int32 * 8)()
         self._gen = 0
+        self._p_topo = (_p64(self._indptr), _p32(self._nbr), _p32(self._arc_eid))
+        self._p_pair = (
+            _p64(self._visit_s),
+            _p32(self._dist_s),
+            _p64(self._visit_t),
+            _p32(self._dist_t),
+            _p64(self._eban),
+            _p64(self._vban),
+            _p32(self._fr[0]),
+            _p32(self._fr[1]),
+            _p32(self._fr[2]),
+            _p32(self._fr[3]),
+        )
+        self._p_sweep = (
+            _p64(self._visit_s),
+            _p32(self._dist_s),
+            _p64(self._eban),
+            _p64(self._vban),
+            _p64(self._tmark),
+            _p32(self._queue),
+        )
+        self._p_bfs = (_p64(self._eban), _p64(self._vban), _p32(self._queue))
+        self._p_dist = _p32(self._dist)
+        self._p_parent = _p32(self._parent)
         # Threaded multi-pair scratch: T disjoint slabs, allocated
         # lazily at the first threaded dispatch and regrown when the
         # thread count rises.  Fresh slabs start at stamp -1, below
         # every generation (gens start at 1 and only grow), so growth
         # never resurrects stale entries.
         self._mt_threads = 0
-        self._mt_visit_s = None
-        self._mt_dist_s = None
-        self._mt_visit_t = None
-        self._mt_dist_t = None
-        self._mt_eban = None
-        self._mt_vban = None
-        self._mt_fr = None
+        self._mt_scratch_arrays = None
+        self._p_mt = None
 
     def _mt_scratch(self, threads: int) -> None:
         """Ensure the per-thread scratch slabs cover ``threads`` slices."""
         if threads <= self._mt_threads:
             return
         n = max(self.n, 1)
-        self._mt_visit_s = np.full((threads, n), -1, dtype=np.int64)
-        self._mt_dist_s = np.zeros((threads, n), dtype=np.int32)
-        self._mt_visit_t = np.full((threads, n), -1, dtype=np.int64)
-        self._mt_dist_t = np.zeros((threads, n), dtype=np.int32)
-        self._mt_eban = np.full((threads, self.m), -1, dtype=np.int64)
-        self._mt_vban = np.full((threads, n), -1, dtype=np.int64)
-        self._mt_fr = np.empty((threads, 4 * n), dtype=np.int32)
+        visit_s = np.full((threads, n), -1, dtype=np.int64)
+        dist_s = np.zeros((threads, n), dtype=np.int32)
+        visit_t = np.full((threads, n), -1, dtype=np.int64)
+        dist_t = np.zeros((threads, n), dtype=np.int32)
+        eban = np.full((threads, self.m), -1, dtype=np.int64)
+        vban = np.full((threads, n), -1, dtype=np.int64)
+        fr = np.empty((threads, 4 * n), dtype=np.int32)
+        self._mt_scratch_arrays = (visit_s, dist_s, visit_t, dist_t, eban, vban, fr)
+        self._p_mt = (
+            _p64(visit_s),
+            _p32(dist_s),
+            _p64(visit_t),
+            _p32(dist_t),
+            _p64(eban),
+            _p64(vban),
+            _p32(fr),
+        )
         self._mt_threads = threads
 
+    # ------------------------------------------------------------------
+    # restricted canonical search
+    # ------------------------------------------------------------------
+    def bfs(
+        self,
+        source: int,
+        target: Optional[int],
+        eids: Sequence[int],
+        verts: Sequence[int],
+        parents: bool = True,
+    ) -> int:
+        """One restricted canonical BFS (``repro_bfs`` in ``_ckernel.c``).
+
+        The C execution of :meth:`repro.core.csr.CSRGraph.bfs` (and,
+        with ``parents=False``, of its distance-only sweep
+        ``bfs_dists``) under the restriction ``eids`` (resolved banned
+        edge ids) / ``verts`` (banned vertices).  With a target the
+        search stops at the target's discovery.  The result stays
+        readable through :meth:`distances` / :meth:`parents` /
+        :meth:`distance` until the next search on this kernel.
+        Returns the hop distance to ``target`` (``-1`` when there is no
+        target or the restriction cuts it off).
+        """
+        n = self.n
+        m = self.m
+        if not 0 <= source < n:
+            raise GraphError(f"source {source} outside [0, {n})")
+        ne = len(eids)
+        k = ne + len(verts)
+        bans = self._bans
+        if k > len(bans):
+            bans = self._bans = (ctypes.c_int32 * (2 * k))()
+        i = 0
+        for e in eids:
+            if not 0 <= e < m:
+                raise GraphError(f"banned edge id {e} outside [0, {m})")
+            bans[i] = e
+            i += 1
+        for v in verts:
+            if not 0 <= v < n:
+                raise GraphError(f"banned vertex {v} outside [0, {n})")
+            bans[i] = v
+            i += 1
+        gen = self._gen + 1
+        self._gen = gen
+        if target is None or not 0 <= target < n:
+            target = -1  # never discovered: the search runs to exhaustion
+        return self._lib.repro_bfs(
+            *self._p_topo,
+            n,
+            source,
+            target,
+            ne,
+            k - ne,
+            bans,
+            gen,
+            *self._p_bfs,
+            self._p_dist,
+            self._p_parent if parents else None,
+        )
+
+    def distances(self) -> List[int]:
+        """The last :meth:`bfs`'s distance vector (``-1`` = unreached)."""
+        return self._dist.tolist()
+
+    def parents(self) -> array:
+        """The last :meth:`bfs`'s parents (``-1`` = unreached).
+
+        A compact ``array('i')`` filled by one memcpy: a list would
+        allocate an int object for every parent id above 256.
+        """
+        out = array("i")
+        out.frombytes(self._parent_bytes)
+        return out
+
+    def distance(self, v: int) -> int:
+        """Distance of ``v`` in the last :meth:`bfs` (``-1`` if unreached)."""
+        return int(self._dist[v])
+
+    # ------------------------------------------------------------------
+    # batch point queries
+    # ------------------------------------------------------------------
     def multi_pair_dists(
         self,
         queries: Sequence[Tuple[int, int, Sequence[int], Sequence[int]]],
@@ -487,6 +638,23 @@ class CKernel:
             vb_ids.extend(verts)
             eb_off.append(len(eb_ids))
             vb_off.append(len(vb_ids))
+        src_arr = np.asarray(q_src, dtype=np.int64)
+        tgt_arr = np.asarray(q_tgt, dtype=np.int64)
+        eb_arr = np.asarray(eb_ids, dtype=np.int64)
+        vb_arr = np.asarray(vb_ids, dtype=np.int64)
+        _check_range(src_arr, self.n, "query source")
+        _check_range(tgt_arr, self.n, "query target")
+        _check_range(eb_arr, self.m, "banned edge id")
+        _check_range(vb_arr, self.n, "banned vertex")
+        batch = (
+            nq,
+            _p32(src_arr.astype(np.int32)),
+            _p32(tgt_arr.astype(np.int32)),
+            _p64(np.asarray(eb_off, dtype=np.int64)),
+            _p32(eb_arr.astype(np.int32)),
+            _p64(np.asarray(vb_off, dtype=np.int64)),
+            _p32(vb_arr.astype(np.int32)),
+        )
         out = np.empty(nq, dtype=np.int32)
         gen_base = self._gen
         self._gen = gen_base + nq
@@ -494,55 +662,19 @@ class CKernel:
         if threads > 1:
             self._mt_scratch(threads)
             self._lib.repro_multi_pair_dists_mt(
-                _p64(self._indptr),
-                _p32(self._nbr),
-                _p32(self._arc_eid),
-                nq,
-                _p32(np.asarray(q_src, dtype=np.int32)),
-                _p32(np.asarray(q_tgt, dtype=np.int32)),
-                _p64(np.asarray(eb_off, dtype=np.int64)),
-                _p32(np.asarray(eb_ids, dtype=np.int32)),
-                _p64(np.asarray(vb_off, dtype=np.int64)),
-                _p32(np.asarray(vb_ids, dtype=np.int32)),
+                *self._p_topo,
+                *batch,
                 gen_base,
                 threads,
                 max(self.n, 1),
                 self.m,
-                _p64(self._mt_visit_s),
-                _p32(self._mt_dist_s),
-                _p64(self._mt_visit_t),
-                _p32(self._mt_dist_t),
-                _p64(self._mt_eban),
-                _p64(self._mt_vban),
-                _p32(self._mt_fr),
+                *self._p_mt,
                 _p32(out),
             )
-            return out.tolist()
-        fr = self._fr
-        self._lib.repro_multi_pair_dists(
-            _p64(self._indptr),
-            _p32(self._nbr),
-            _p32(self._arc_eid),
-            nq,
-            _p32(np.asarray(q_src, dtype=np.int32)),
-            _p32(np.asarray(q_tgt, dtype=np.int32)),
-            _p64(np.asarray(eb_off, dtype=np.int64)),
-            _p32(np.asarray(eb_ids, dtype=np.int32)),
-            _p64(np.asarray(vb_off, dtype=np.int64)),
-            _p32(np.asarray(vb_ids, dtype=np.int32)),
-            gen_base,
-            _p64(self._visit_s),
-            _p32(self._dist_s),
-            _p64(self._visit_t),
-            _p32(self._dist_t),
-            _p64(self._eban),
-            _p64(self._vban),
-            _p32(fr[0]),
-            _p32(fr[1]),
-            _p32(fr[2]),
-            _p32(fr[3]),
-            _p32(out),
-        )
+        else:
+            self._lib.repro_multi_pair_dists(
+                *self._p_topo, *batch, gen_base, *self._p_pair, _p32(out)
+            )
         return out.tolist()
 
     def multi_target_dists(
@@ -562,29 +694,28 @@ class CKernel:
         nt = len(targets)
         if nt == 0:
             return []
+        if not 0 <= source < self.n:
+            raise GraphError(f"source {source} outside [0, {self.n})")
+        t_arr = np.asarray(targets, dtype=np.int64)
+        e_arr = np.asarray(eids, dtype=np.int64)
+        v_arr = np.asarray(verts, dtype=np.int64)
+        _check_range(t_arr, self.n, "sweep target")
+        _check_range(e_arr, self.m, "banned edge id")
+        _check_range(v_arr, self.n, "banned vertex")
         out = np.empty(nt, dtype=np.int32)
         gen = self._gen + 1
         self._gen = gen
-        e_arr = np.asarray(eids, dtype=np.int32)
-        v_arr = np.asarray(verts, dtype=np.int32)
         self._lib.repro_multi_target_dists(
-            _p64(self._indptr),
-            _p32(self._nbr),
-            _p32(self._arc_eid),
+            *self._p_topo,
             source,
             nt,
-            _p32(np.asarray(targets, dtype=np.int32)),
+            _p32(t_arr.astype(np.int32)),
             len(e_arr),
-            _p32(e_arr),
+            _p32(e_arr.astype(np.int32)),
             len(v_arr),
-            _p32(v_arr),
+            _p32(v_arr.astype(np.int32)),
             gen,
-            _p64(self._visit_s),
-            _p32(self._dist_s),
-            _p64(self._eban),
-            _p64(self._vban),
-            _p64(self._tmark),
-            _p32(self._queue),
+            *self._p_sweep,
             _p32(out),
         )
         return out.tolist()

@@ -36,10 +36,10 @@ and never cleared.  Instead, every buffer entry is paired with a
 
 Pooling invariants (relied on by :mod:`repro.core.canonical`):
 
-1. A search's scratch contents are only valid until the next call that
-   bumps the same generation counter — callers that need to keep
-   results (e.g. :class:`~repro.core.canonical.SearchResult`) copy them
-   out with :meth:`CSRGraph.collect`.
+1. A search's scratch contents are only valid until the next search on
+   the snapshot — callers that need to keep results (e.g.
+   :class:`~repro.core.canonical.SearchResult`) copy them out with
+   :meth:`CSRGraph.collect`.
 2. Ban stamps and visit stamps advance independently, so one ban
    application (``stamp_bans``) can serve many searches — the batched
    :meth:`multi-source <repro.core.canonical.DistanceOracle.multi_source_distances>`
@@ -57,6 +57,14 @@ order, and the first (minimum-rank) discoverer is the canonical parent.
 This is asserted against the legacy layered implementation by the
 equivalence property tests (``tests/test_csr_equivalence.py``).
 
+**C tier.**  Whenever the compiled kernel of :mod:`repro.core.ckernel`
+loads (``REPRO_C_KERNEL``), :meth:`CSRGraph.bfs`,
+:meth:`CSRGraph.bfs_dists` and :meth:`CSRGraph.multi_pair_dists` run
+in C over the flat arrays — the same FIFO first-discoverer search, so
+results are bit-identical — and the python loops below serve
+``REPRO_C_KERNEL=off`` and compiler-less hosts.  The scalar
+:meth:`CSRGraph.bidir_distance` always runs in python.
+
 The snapshot is cached on the graph (versioned, invalidated by
 mutation) via :func:`csr_of`, so the canonical engine, the distance
 oracle and the BFS tree of one :class:`~repro.replacement.base.SourceContext`
@@ -66,10 +74,21 @@ all share a single pool.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import GraphError
 from repro.core.graph import Edge, Graph
+
+try:  # The C tier's wrapper needs numpy; the python kernel never does.
+    from repro.core.ckernel import (
+        CKernel,
+        c_kernel_mode,
+        load_c_library,
+        plan_c_threads,
+    )
+except ImportError:  # pragma: no cover - exercised only on numpy-less installs
+    CKernel = None
 
 #: Stamp value meaning "never used"; all generation counters start above it.
 UNREACHED = -1
@@ -170,6 +189,17 @@ class CSRGraph:
         # Lazily attached numpy bulk kernel (repro.core.bulk.bulk_of);
         # lives on the snapshot so it shares its lifetime/invalidation.
         "_bulk",
+        # C kernel tier (lazy; see c_kernel), shared by the python and
+        # numpy kernels of this snapshot: the kernel, the memoized load
+        # failure, whether the last bfs/bfs_dists ran in C (so readout
+        # knows where the result lives), the raw restriction behind the
+        # live ban stamp (the C side stamps its own tables from it) and
+        # the per-tier dispatch counters.
+        "_ck",
+        "_ck_failed",
+        "_c_out",
+        "_last_stamp",
+        "dispatch_stats",
         "_visit",
         "_dist",
         "_parent",
@@ -283,6 +313,28 @@ class CSRGraph:
         """Allocate the pooled stamped scratch (see module docstring)."""
         n = self.n
         self._bulk = None
+        self._ck = None
+        self._ck_failed = False
+        self._c_out = False
+        self._last_stamp = (0, (), ())
+        #: Which kernel tier served each search and batch entry point
+        #: (auto-dispatch is otherwise invisible); searches, queries and
+        #: sweep targets are counted, not calls.  Read/reset via
+        #: :func:`repro.core.bulk.kernel_dispatch_stats`.
+        self.dispatch_stats = {
+            "searches_c": 0,
+            "full_sweeps_c": 0,
+            "pairs_c": 0,
+            "pairs_c_mt": 0,
+            # thread index -> pairs served by that thread under the
+            # strided multi-pair split (observability for the
+            # interleaved assignment; sums to pairs_c_mt).
+            "pairs_c_mt_threads": {},
+            "pairs_dense": 0,
+            "pairs_cutover": 0,
+            "sweeps_c": 0,
+            "sweeps_numpy": 0,
+        }
         self._visit = [UNREACHED] * n
         self._dist = [0] * n
         self._parent = [0] * n
@@ -336,22 +388,90 @@ class CSRGraph:
         """Like :meth:`stamp_bans` but from pre-resolved edge ids."""
         bg = self._ban_gen + 1
         self._ban_gen = bg
-        have_e = False
-        have_v = False
+        if not isinstance(edge_ids, (list, tuple)):
+            edge_ids = list(edge_ids)
+        if not isinstance(vertices, (list, tuple)):
+            vertices = list(vertices)
         eban = self._eban
         for i in edge_ids:
             eban[i] = bg
-            have_e = True
         vban = self._vban
         for v in vertices:
             vban[v] = bg
-            have_v = True
-        return bg, have_e, have_v
+        self._last_stamp = (bg, edge_ids, vertices)
+        return bg, bool(edge_ids), bool(vertices)
 
     def source_banned(self, source: int, ban: Tuple[int, bool, bool]) -> bool:
         """True iff ``source`` is vertex-banned under the given stamp."""
         bg, _, have_v = ban
         return have_v and self._vban[source] == bg
+
+    # ------------------------------------------------------------------
+    # C kernel tier
+    # ------------------------------------------------------------------
+    def c_kernel(self) -> Optional["CKernel"]:
+        """The compiled C kernel serving this snapshot, or ``None``.
+
+        ``REPRO_C_KERNEL`` dispatch: ``off`` always returns ``None``,
+        ``auto`` (default) returns the kernel when the library loads
+        and ``None`` otherwise, ``on`` raises on load failure instead
+        of degrading (the CI tier guard).  The mode is re-read per call
+        (benchmark arms flip it between timed runs on one cached
+        snapshot); the load attempt and the per-snapshot scratch are
+        resolved once, at the first search — never at import or
+        artifact load.
+        """
+        if CKernel is None:
+            return None
+        mode = c_kernel_mode()
+        if mode == "off":
+            return None
+        ck = self._ck
+        if ck is None:
+            if self._ck_failed and mode != "on":
+                return None
+            lib, detail = load_c_library()
+            if lib is None:
+                self._ck_failed = True
+                if mode == "on":
+                    raise RuntimeError(
+                        f"REPRO_C_KERNEL=on but the C kernel is "
+                        f"unavailable: {detail}"
+                    )
+                return None
+            ck = CKernel(
+                lib, self.n, self.eid_cap, self.indptr, self.nbr, self.arc_eid
+            )
+            self._ck = ck
+        return ck
+
+    @property
+    def c_active(self) -> bool:
+        """True when this snapshot's searches currently run in C."""
+        return self.c_kernel() is not None
+
+    def c_search(
+        self,
+        stamp: Tuple[int, Sequence[int], Sequence[int]],
+        source: int,
+        ban: Tuple[int, bool, bool],
+        target: Optional[int],
+        parents: bool,
+    ) -> Optional[int]:
+        """Run one search in C, or return ``None`` to leave it to python.
+
+        Served when :meth:`c_kernel` loads and ``ban`` is the live stamp
+        ``stamp`` — ``(ban_gen, edge_ids, vertices)``, the raw
+        restriction the C side re-stamps into its own tables — of the
+        calling kernel (this snapshot's python kernel or its numpy
+        twin).  Counted in ``dispatch_stats``; the result is read back
+        through the :class:`~repro.core.ckernel.CKernel` readout.
+        """
+        ck = self.c_kernel()
+        if ck is None or stamp[0] != ban[0]:
+            return None
+        self.dispatch_stats["searches_c" if parents else "full_sweeps_c"] += 1
+        return ck.bfs(source, target, stamp[1], stamp[2], parents)
 
     # ------------------------------------------------------------------
     # the kernel
@@ -370,15 +490,23 @@ class CSRGraph:
         parent, and those of every vertex on its canonical path, are
         final at that point (first discovery is final in BFS).
 
-        Afterwards ``self._count`` vertices (``self._queue[:count]``)
-        carry valid ``_dist``/``_parent`` entries for generation
-        ``self._gen``.  The caller must copy anything it wants to keep
+        Runs in C (:meth:`repro.core.ckernel.CKernel.bfs`, the same
+        FIFO first-discoverer search) whenever :meth:`c_kernel` serves
+        the snapshot and ``ban`` is the live stamp.  Otherwise
+        ``self._count`` vertices (``self._queue[:count]``) carry valid
+        ``_dist``/``_parent`` entries for generation ``self._gen``.
+        Either way the caller must copy anything it wants to keep
         (:meth:`collect`) before the next search.
 
         The four loop variants below are deliberate: hoisting the
         ban-mode branches out of the inner loop is worth ~30% in
-        CPython, and this loop is the hottest code in the library.
+        CPython, and this loop is the hottest python code in the
+        library.
         """
+        hops = self.c_search(self._last_stamp, source, ban, target, True)
+        self._c_out = hops is not None
+        if self._c_out:
+            return hops
         bg, have_e, have_v = ban
         gen = self._gen + 1
         self._gen = gen
@@ -491,8 +619,13 @@ class CSRGraph:
         per-fault distance tables and the batched multi-source API —
         dropping the parent store and the target compare from the inner
         loop is worth ~25% on full sweeps.  Results are read exactly
-        like :meth:`bfs`'s (``distances_list`` / ``last_distance``).
+        like :meth:`bfs`'s (``distances_list`` / ``last_distance``), and
+        the sweep runs in C under the same conditions.
         """
+        hops = self.c_search(self._last_stamp, source, ban, None, False)
+        self._c_out = hops is not None
+        if self._c_out:
+            return
         bg, have_e, have_v = ban
         gen = self._gen + 1
         self._gen = gen
@@ -571,8 +704,12 @@ class CSRGraph:
         """Copy the last search's reachable set into fresh dist/parent lists.
 
         Unreached vertices get ``-1`` in both, ``parent[source] == source``
-        — the :class:`~repro.core.canonical.SearchResult` contract.
+        — the :class:`~repro.core.canonical.SearchResult` contract.  A
+        C-served search hands its parents back as a compact
+        ``array('i')`` (see :meth:`repro.core.ckernel.CKernel.parents`).
         """
+        if self._c_out:
+            return self._ck.distances(), self._ck.parents()
         n = self.n
         dist_out = [UNREACHED] * n
         parent_out = [UNREACHED] * n
@@ -587,6 +724,8 @@ class CSRGraph:
 
     def distances_list(self) -> List[int]:
         """The last search's full distance vector (``-1`` = unreached)."""
+        if self._c_out:
+            return self._ck.distances()
         n = self.n
         out = [UNREACHED] * n
         dist = self._dist
@@ -598,6 +737,8 @@ class CSRGraph:
 
     def last_distance(self, v: int) -> int:
         """Distance of ``v`` in the last search (``-1`` if unreached)."""
+        if self._c_out:
+            return self._ck.distance(v)
         return self._dist[v] if self._visit[v] == self._gen else UNREACHED
 
     # ------------------------------------------------------------------
@@ -634,6 +775,7 @@ class CSRGraph:
         gen_s = self._gen + 1
         self._gen = gen_s
         self._count = 0  # scratch from `bfs` is no longer valid
+        self._c_out = False
         gen_t = self._gen2 + 1
         self._gen2 = gen_t
         visit_s = self._visit
@@ -724,6 +866,40 @@ class CSRGraph:
         bidir = self.bidir_distance
         return [bidir(s, t, ban) for s, t in pairs]
 
+    def multi_pair_dists(
+        self,
+        queries: Sequence[Tuple[int, int, Sequence[int], Sequence[int]]],
+    ) -> List[int]:
+        """Many independent restricted point queries, each with its own
+        restriction: ``(source, target, banned_edge_ids,
+        banned_vertices)`` tuples, raw hops aligned with ``queries``
+        (``-1`` = cut).
+
+        One C call for the whole batch whenever :meth:`c_kernel` serves
+        the snapshot — on the threaded entry point once the batch
+        clears the ``REPRO_C_THREADS`` / ``REPRO_C_MT_MIN`` bar — and
+        otherwise one stamping and one :meth:`bidir_distance` per
+        query.  Bit-identical either way (same exactness argument).
+        """
+        ck = self.c_kernel()
+        if ck is None:
+            bidir = self.bidir_distance
+            stamp = self.stamp_edge_ids
+            return [
+                bidir(s, t, stamp(eids, verts)) for s, t, eids, verts in queries
+            ]
+        threads = plan_c_threads(len(queries))
+        stats = self.dispatch_stats
+        if threads > 1:
+            stats["pairs_c_mt"] += len(queries)
+            # Interleaved split: thread t serves queries t, t+T, ...
+            per = stats["pairs_c_mt_threads"]
+            for t in range(threads):
+                per[t] = per.get(t, 0) + len(range(t, len(queries), threads))
+        else:
+            stats["pairs_c"] += len(queries)
+        return ck.multi_pair_dists(queries, threads=threads)
+
 
 class DeltaCSRGraph(CSRGraph):
     """An incremental snapshot: the parent's views plus an edge overlay.
@@ -744,12 +920,12 @@ class DeltaCSRGraph(CSRGraph):
       a delta edge get new ``rows``/``arcs`` tuples; everything else
       aliases the parent's (immutable) tuples.
     * **re-flattens lazily**: the flat ``indptr``/``nbr``/``arc_eid``
-      vectors — needed only by the numpy/C bulk consumers and the
+      vectors — needed only by the numpy and C kernels and the
       artifact writer — are materialized on first attribute access, so
       a pure-python query stream after a delta never pays for them.
     """
 
-    __slots__ = ("parent", "_free_eids")
+    __slots__ = ("parent", "_free_eids", "_touched")
 
     def __init__(
         self,
@@ -790,7 +966,8 @@ class DeltaCSRGraph(CSRGraph):
             i = edge_index[(u, v)]
             gain.setdefault(u, []).append((v, i))
             gain.setdefault(v, []).append((u, i))
-        for u in set(drop) | set(gain):
+        self._touched = tuple(sorted(set(drop) | set(gain)))
+        for u in self._touched:
             gone = drop.get(u, ())
             row = [(w, e) for (w, e) in parent.arcs[u] if w not in gone]
             row.extend(gain.get(u, ()))
@@ -810,15 +987,42 @@ class DeltaCSRGraph(CSRGraph):
         raise AttributeError(name)
 
     def _flatten(self) -> None:
-        """Materialize the flat CSR vectors from the iteration views."""
-        indptr = [0]
-        nbr: List[int] = []
-        arc_eid: List[int] = []
-        for u in range(self.n):
-            for w, e in self.arcs[u]:
+        """Materialize the flat CSR vectors from the iteration views.
+
+        When the parent's flat vectors exist (every snapshot a C search
+        ran on has them), only the touched rows are rebuilt: the spans
+        between them are copied from the parent's arrays wholesale,
+        which keeps a C-searched delta chain at O(delta) python work
+        per snapshot instead of a walk over every arc.
+        """
+        arcs = self.arcs
+        indptr = array("q", [0])
+        indptr.extend(accumulate(map(len, self.rows)))
+        nbr = array("q")
+        arc_eid = array("q")
+        flat = CSRGraph.__dict__
+        try:
+            p_indptr = flat["indptr"].__get__(self.parent)
+            p_nbr = flat["nbr"].__get__(self.parent)
+            p_eid = flat["arc_eid"].__get__(self.parent)
+        except AttributeError:  # parent never flattened: walk every row
+            touched = range(self.n)
+            p_indptr = p_nbr = p_eid = None
+        else:
+            touched = self._touched
+        prev = 0
+        for u in touched:
+            if p_indptr is not None:
+                lo = p_indptr[u]
+                nbr.extend(p_nbr[prev:lo])
+                arc_eid.extend(p_eid[prev:lo])
+                prev = p_indptr[u + 1]
+            for w, e in arcs[u]:
                 nbr.append(w)
                 arc_eid.append(e)
-            indptr.append(len(nbr))
-        self.indptr = array("q", indptr)
-        self.nbr = array("q", nbr)
-        self.arc_eid = array("q", arc_eid)
+        if p_indptr is not None:
+            nbr.extend(p_nbr[prev:])
+            arc_eid.extend(p_eid[prev:])
+        self.indptr = indptr
+        self.nbr = nbr
+        self.arc_eid = arc_eid

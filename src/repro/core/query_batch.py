@@ -40,14 +40,17 @@ applicable strategy:
   source runs one level-synchronous sweep with per-pair early exit
   (:meth:`~repro.core.bulk.BulkCSRKernel.multi_target_dists`), one ban
   stamping for the whole group;
-* **cross-query multi-pair kernel**
-  (:meth:`~repro.core.bulk.BulkCSRKernel.multi_pair_dists`) — the
-  residue of distinct-fault-set pairs advances in lock-step as flat
-  numpy batches over per-(query, side) label tables, with a scalar
-  tail cutover once only stragglers remain;
+* **cross-query multi-pair kernel** — the residue of
+  distinct-fault-set pairs goes to the snapshot's C kernel in one call
+  (:meth:`repro.core.csr.CSRGraph.multi_pair_dists`) whenever it
+  loads, whatever the oracle family; without C, the numpy kernel
+  (:meth:`~repro.core.bulk.BulkCSRKernel.multi_pair_dists`) advances
+  it in lock-step as flat batches over per-(query, side) label tables,
+  with a scalar tail cutover once only stragglers remain;
 * **pooled scalar fallback**
-  (:meth:`repro.core.csr.CSRGraph.bidir_distances`) — small residues
-  and numpy-less installs, still one ban stamping per restriction.
+  (:meth:`repro.core.csr.CSRGraph.bidir_distances`) — small residues,
+  the python-kernel oracle without C and numpy-less installs, still
+  one ban stamping per restriction.
 
 Every strategy computes exact hop distances, so results are
 bit-identical to per-pair
@@ -610,15 +613,13 @@ class PointQueryBatch:
             )
 
         # -- residual: distinct-restriction pairs with nothing left to
-        # share — the cross-query multi-pair kernel expands them in
-        # lock-step; small residues (or python-kernel oracles) loop the
-        # pooled scalar query, one stamping per restriction.
+        # share — one C call, or the numpy kernel's lock-step waves;
+        # small residues (or the python-kernel oracle without C) loop
+        # the pooled scalar query, one stamping per restriction.
         if residual:
-            c_active = vectorized and getattr(kernel, "c_active", False)
-            if (
-                vectorized
-                and hasattr(kernel, "multi_pair_dists")
-                and len(residual) >= (PAIR_MIN_C if c_active else PAIR_MIN)
+            c_active = csr.c_active
+            if (c_active or vectorized) and len(residual) >= (
+                PAIR_MIN_C if c_active else PAIR_MIN
             ):
                 queries = [
                     (unique[slot][0], unique[slot][1], unique[slot][2], unique[slot][3])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.canonical import (
+    ENGINES,
     INF,
     DistanceOracle,
     LexShortestPaths,
@@ -146,6 +147,24 @@ class TestRestrictions:
             LexShortestPaths(g).search(9)
         with pytest.raises(GraphError):
             PerturbedShortestPaths(g).search(9)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_result_rejects_vertices_outside_range(self, engine):
+        """A negative id must not alias vertex n-1, and n is not a
+        vertex: every per-vertex accessor raises a typed error."""
+        g = path_graph(5)
+        res = make_engine(g, engine).search(0)
+        assert res.dist(4) == 4 and res.parent(4) == 3
+        for v in (-1, 5):
+            for accessor in (
+                res.dist,
+                res.dist_or_unreached,
+                res.parent,
+                res.reached,
+                res.path,
+            ):
+                with pytest.raises(GraphError):
+                    accessor(v)
 
     def test_target_early_stop_consistent(self):
         g = erdos_renyi(20, 0.15, seed=3)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ckernel, query_batch
-from repro.core.bulk import BulkCSRKernel
+from repro.core.bulk import BulkCSRKernel, kernel_dispatch_stats
 from repro.core.canonical import (
     INF,
     BulkDistanceOracle,
@@ -462,6 +462,39 @@ def test_c_kernel_on_raises_when_broken(monkeypatch):
     kernel = BulkCSRKernel(csr_of(g), min_bulk_n=0)
     with pytest.raises(RuntimeError, match="simulated broken extension"):
         kernel.multi_pair_dists([(0, 5, [], [])])
+
+
+@needs_ckernel
+@pytest.mark.parametrize("mode", ["on", "off"])
+def test_csr_oracle_residual_runs_in_c(mode, monkeypatch):
+    """The CSR (``lex-csr``) oracle sends its residual of distinct
+    restrictions to the C multi-pair kernel in one call, counted in
+    ``pairs_c`` and the planner's ``paired`` stat; under ``off`` the
+    pooled python loop answers instead.  Exact either way."""
+    monkeypatch.setenv("REPRO_C_KERNEL", mode)
+    g = erdos_renyi(60, 0.08, seed=2)
+    rng = random.Random(21)
+    edges = sorted(g.edges())
+    # A banned vertex keeps every probe off the tree-repair path, and
+    # distinct sources keep every group below the sweep threshold.
+    requests = [
+        (s, rng.randrange(g.n), (rng.choice(edges),), (rng.randrange(g.n),))
+        for s in range(30)
+    ]
+    shared_cache().clear()
+    batch = DistanceOracle(g).batch()
+    handles = [batch.add(*req) for req in requests]
+    batch.execute()
+    reference = PythonDistanceOracle(g)
+    assert [h.distance for h in handles] == [
+        reference.distance(*req) for req in requests
+    ]
+    paired = batch.stats["paired"]
+    stats = kernel_dispatch_stats(g)
+    if mode == "on":
+        assert paired == stats["pairs_c"] == len(requests)
+    else:
+        assert paired == 0 and stats is None
 
 
 def test_tree_repair_exactness_all_regions(monkeypatch):
