@@ -21,7 +21,6 @@ import pathlib
 from typing import Iterable, List, Sequence
 
 from repro.analysis import format_table
-from repro.core.canonical import ENGINES
 from repro.core.snapshot_cache import shared_cache
 from repro.generators import erdos_renyi, tree_plus_chords
 
@@ -152,11 +151,10 @@ def engine_arms() -> List[str]:
     """The engines perf benchmarks compare, in baseline-first order.
 
     Legacy ``lex`` is the pre-kernel baseline every speedup is measured
-    against; ``lex-csr`` is the pooled python kernel; ``lex-bulk`` (the
-    vectorized numpy kernel) joins only where numpy is installed, so
-    benchmarks degrade to a two-way comparison instead of erroring.
+    against; ``lex-csr`` is the CSR kernel, its searches in C whenever
+    the C kernel loads.
     """
-    return [e for e in ("lex", "lex-csr", "lex-bulk") if e in ENGINES]
+    return ["lex", "lex-csr"]
 
 
 def cold_cache() -> None:

@@ -8,11 +8,10 @@ throughput from the stored structure.
 Since the flat-array traversal kernel landed, E10 additionally measures
 the **engine speedup**: the identical end-to-end workload (all exact
 builders plus a 200-query batch) is timed under the legacy ``lex``
-engine (layered dict BFS + hash-set ban tests, the pre-kernel system),
-the default ``lex-csr`` engine (pooled CSR kernel, its searches in C
-whenever the C kernel loads), and the vectorized ``lex-bulk`` engine
-(numpy whole-frontier kernel), across a ladder of graph sizes reaching
-n=1000.  The process-wide snapshot
+engine (layered dict BFS + hash-set ban tests, the pre-kernel system)
+and the default ``lex-csr`` engine (pooled CSR kernel, its searches in
+C whenever the C kernel loads), across a ladder of graph sizes
+reaching n=1000.  The process-wide snapshot
 cache is cleared before every timed round so each arm is measured
 cold.  Results — including the speedups the kernels are required to
 sustain at the largest size — are persisted as machine-readable
@@ -35,17 +34,11 @@ Environment knobs (used by CI's quick smoke run):
 ``REPRO_BENCH_ROUNDS``
     Best-of rounds per arm (default 2).
 ``REPRO_BENCH_MIN_SPEEDUP``
-    Required kernel-vs-legacy speedup for *both* ``lex-csr`` and
-    ``lex-bulk`` at the largest ladder size whose legacy arm was
-    *measured* (default 2.0; CI's small smoke sizes set it lower —
-    small graphs under-display the kernels' advantage).  Estimated
-    rungs never gate this floor: extrapolation error should not fail a
-    build.
-``REPRO_BENCH_MIN_BULK_VS_CSR``
-    Required ``lex-bulk`` vs ``lex-csr`` ratio at the largest size
-    (default 0, i.e. informational; the nightly full-ladder run sets
-    1.0 — the bulk kernel must not fall behind the python kernel at
-    n=1000).
+    Required ``lex-csr``-vs-legacy speedup at the largest ladder size
+    whose legacy arm was *measured* (default 2.0; CI's small smoke
+    sizes set it lower — small graphs under-display the kernel's
+    advantage).  Estimated rungs never gate this floor: extrapolation
+    error should not fail a build.
 ``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_MIN_PARALLEL_SCALING``
     Worker-count axis and scaling floor of the cores-axis arm
     (:func:`_common.jobs_axis` / :func:`_common.scaling_floor`):
@@ -142,7 +135,7 @@ def test_e10_oracle_queries(benchmark, shared_graph):
 
 
 # ----------------------------------------------------------------------
-# engine comparison: legacy lex vs the CSR kernel vs the numpy bulk kernel
+# engine comparison: legacy lex vs the CSR kernel
 # ----------------------------------------------------------------------
 def _ladder():
     spec = os.environ.get(
@@ -171,8 +164,7 @@ def _suite(graph, queries, engine):
 def test_e10_engine_speedup(benchmark):
     rounds = int(os.environ.get("REPRO_BENCH_ROUNDS", "2"))
     min_speedup = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "2.0"))
-    min_bulk_vs_csr = float(os.environ.get("REPRO_BENCH_MIN_BULK_VS_CSR", "0"))
-    arms = engine_arms()  # ["lex", "lex-csr", "lex-bulk"] when numpy present
+    arms = engine_arms()  # ["lex", "lex-csr"]
     kernels = [e for e in arms if e != "lex"]
     ladder = _ladder()
     measured_ns: list = []
@@ -227,11 +219,6 @@ def test_e10_engine_speedup(benchmark):
                 "seconds": {e: times[e] for e in rung_arms},
                 "speedup_vs_legacy": speedups,
                 "legacy_estimated": estimate_legacy,
-                "bulk_vs_csr": (
-                    times["lex-csr"] / times["lex-bulk"]
-                    if "lex-bulk" in times
-                    else None
-                ),
                 # kept for dashboards diffing against pre-bulk records
                 "legacy_lex_seconds": lex_seconds,
                 "lex_csr_seconds": times["lex-csr"],
@@ -255,8 +242,7 @@ def test_e10_engine_speedup(benchmark):
     largest = entries[-1]
     # The kernel-vs-legacy floor is certified against a *measured*
     # legacy baseline — asserting against an extrapolated one would let
-    # fit error fail (or pass) the build.  Est rungs still certify the
-    # kernel-vs-kernel floor, which never involves the fit.
+    # fit error fail (or pass) the build.
     largest_measured = next(
         (e for e in reversed(entries) if not e["legacy_estimated"]), largest
     )
@@ -271,18 +257,12 @@ def test_e10_engine_speedup(benchmark):
             "largest": largest,
             "largest_measured": largest_measured,
             "required_min_speedup": min_speedup,
-            "required_min_bulk_vs_csr": min_bulk_vs_csr,
         },
     )
     for e in kernels:
         assert largest_measured["speedup_vs_legacy"][e] >= min_speedup, (
             f"{e} speedup {largest_measured['speedup_vs_legacy'][e]:.2f}x at "
             f"n={largest_measured['n']} fell below the required {min_speedup}x"
-        )
-    if min_bulk_vs_csr and largest["bulk_vs_csr"] is not None:
-        assert largest["bulk_vs_csr"] >= min_bulk_vs_csr, (
-            f"lex-bulk fell to {largest['bulk_vs_csr']:.2f}x of lex-csr at "
-            f"n={largest['n']} (required {min_bulk_vs_csr}x)"
         )
     g_small = erdos_renyi(ladder[0][0], ladder[0][1], seed=SEED)
     q_small = sample_queries(g_small, 2, 50, seed=3)

@@ -1,37 +1,33 @@
 """E16 — batched point-query pipeline vs the per-pair scalar path.
 
-PR 1 made every restricted search pooled and allocation-free, PR 2
-vectorized full sweeps; the feasibility *point queries* that dominate
-``Cons2FTBFS`` stayed scalar-per-pair.  This benchmark quantifies the
-batched point-query pipeline (:mod:`repro.core.query_batch`) that
-replaced them:
+The kernel made every restricted search pooled and allocation-free;
+the feasibility *point queries* that dominate ``Cons2FTBFS`` stayed
+scalar-per-pair.  This benchmark quantifies the batched point-query
+pipeline (:mod:`repro.core.query_batch`) that replaced them:
 
 **Feasibility workload** (the headline, enforced by CI).  For each
 ladder entry, the construction's plannable step-2/3 feasibility probes
 (:func:`repro.ftbfs.cons2ftbfs.feasibility_probes`) are answered three
 ways, cold-cache each time:
 
-* *batched (numpy)* — the plan → dedupe → grouped-execution pipeline
-  under the ``lex-bulk`` oracle with ``REPRO_C_KERNEL=off``: step-2
-  probes first try their zero-traversal step-1 certificates, the rest
-  go through one :class:`~repro.core.query_batch.PointQueryBatch`
-  execution (tree-repair fast path, shared sweeps, cross-query
-  multi-pair kernel on the numpy label tables);
-* *batched (C)* — the identical pipeline under the same ``lex-bulk``
-  oracle with ``REPRO_C_KERNEL=on``, so its multi-pair and
-  shared-sweep strategies must execute in the compiled C kernel
-  (skipped, and recorded as such, on hosts where the C kernel cannot
-  load);
+* *batched (python)* — the plan → dedupe → grouped-execution
+  pipeline under the ``lex-csr`` oracle with ``REPRO_C_KERNEL=off``:
+  step-2 probes first try their zero-traversal step-1 certificates,
+  the rest go through one
+  :class:`~repro.core.query_batch.PointQueryBatch` execution
+  (tree-repair fast path, then the pooled scalar loop) — the
+  no-compiler path, informational;
+* *batched (C)* — the identical pipeline under the same ``lex-csr``
+  oracle with ``REPRO_C_KERNEL=on``, so the residue the tree repair
+  leaves must execute in the compiled C multi-pair kernel (skipped,
+  and recorded as such, on hosts where the C kernel cannot load);
 * *per-pair scalar* — the identical probes looped through scalar
   ``oracle.distance`` point queries (the pre-batch code path, i.e.
   ``REPRO_QUERY_BATCH=0``'s behavior).
 
-Each batched arm also records which kernel tier actually served its
-multi-pair queries and sweeps
-(:func:`repro.core.bulk.kernel_dispatch_stats`), so the auto-dispatch
-decision is part of the persisted payload.  The numpy speedup of the
-**first** ladder entry (the headline workload) must meet
-``REPRO_BENCH_MIN_BATCH_VS_SCALAR``; the C arm must meet
+Each batched arm also records what the C kernel served
+(:func:`repro.core.csr.kernel_dispatch_stats`), so the dispatch
+decision is part of the persisted payload.  The C arm must meet
 ``REPRO_BENCH_MIN_BATCH_VS_SCALAR_C`` on *every* workload.
 
 **Batch-size curve.**  ``distances_bulk`` (one fault set, one source,
@@ -53,21 +49,12 @@ Environment knobs (used by CI's smoke run):
     probability).  Default ``chords:1000:300,er:1000:0.008`` — a
     sparse tree-plus-chords instance (deep canonical trees, the regime
     FT-BFS structures are built for) plus the E10 ER family.  The
-    first entry is the headline the speedup floor applies to.
-``REPRO_BENCH_MIN_BATCH_VS_SCALAR``
-    Required batched-vs-scalar speedup on the headline feasibility
-    workload (default 0 = informational; the nightly full-size run
-    enforces 2.0 at n=1000).
-``REPRO_BENCH_MIN_BATCH_VS_SCALAR_ALL``
-    Floor applied to *every* feasibility workload, headline included
-    (default 0; the nightly enforces 1.25 on the numpy arm — the ER
-    expander family runs closer to the scalar kernel's best case, see
-    ``docs/benchmarks.md``).
+    first entry is the headline workload of the build arms.
 ``REPRO_BENCH_MIN_BATCH_VS_SCALAR_C``
     Floor for the C arm, applied to every workload (default 0;
     asserted only when the C kernel is available — the nightly builds
-    the extension and enforces 2.0, which closes the ER gap the numpy
-    arm plateaus under; measured ≈2.6x ER / ≈4.5x chords at n=1000).
+    the extension and enforces 2.0; measured ≈2.6x ER / ≈4.5x chords
+    at n=1000).
 ``REPRO_BENCH_ROUNDS``
     Best-of rounds per arm (default 2).
 ``REPRO_E16_SOURCES``
@@ -86,8 +73,8 @@ import os
 import time
 
 from repro.core import parallel
-from repro.core.bulk import kernel_dispatch_stats
 from repro.core.ckernel import c_kernel_available
+from repro.core.csr import kernel_dispatch_stats
 from repro.core.snapshot_cache import shared_cache
 from repro.ftbfs.cons2ftbfs import build_cons2ftbfs, feasibility_probes
 from repro.ftbfs.generic import build_ft_mbfs
@@ -105,7 +92,7 @@ from _common import (
     workload_label,
 )
 
-BATCH_ENGINE = "lex-bulk"
+BATCH_ENGINE = "lex-csr"
 
 
 @contextlib.contextmanager
@@ -175,9 +162,6 @@ def _time_scalar(ctx, probes):
 
 def test_e16_feasibility_workload(benchmark):
     rounds = _rounds()
-    min_speedup = float(
-        os.environ.get("REPRO_BENCH_MIN_BATCH_VS_SCALAR", "0")
-    )
     have_c = c_kernel_available()
     rows = []
     entries = []
@@ -191,10 +175,10 @@ def test_e16_feasibility_workload(benchmark):
         stats = stats_c = None
         dispatch = {}
         for _ in range(rounds):
-            with _c_kernel("off"):  # numpy arm: C dispatch pinned off
+            with _c_kernel("off"):  # python arm: C dispatch pinned off
                 kernel_dispatch_stats(g, reset=True)
                 elapsed, certified, stats = _time_batched(ctx, probes)
-                dispatch["numpy"] = kernel_dispatch_stats(g)
+                dispatch["python"] = kernel_dispatch_stats(g)
             best_b = min(best_b, elapsed)
             if have_c:
                 # The same probes through the same oracle with C
@@ -233,7 +217,7 @@ def test_e16_feasibility_workload(benchmark):
                 "speedup": speedup,
                 "c_seconds": best_c if have_c else None,
                 "speedup_c": speedup_c,
-                "c_vs_numpy": (
+                "c_vs_python": (
                     best_b / best_c if have_c else None
                 ),
                 "executor_stats": stats,
@@ -248,7 +232,7 @@ def test_e16_feasibility_workload(benchmark):
             "workload",
             "probes",
             "per-pair (ms)",
-            "numpy (ms)",
+            "python (ms)",
             "speedup",
             "C (ms)",
             "speedup",
@@ -257,7 +241,7 @@ def test_e16_feasibility_workload(benchmark):
     )
     body += (
         "\nCons2FTBFS step-2/3 feasibility probes answered via the "
-        "\nbatched pipeline (numpy arm: REPRO_C_KERNEL=off; C arm: "
+        "\nbatched pipeline (python arm: REPRO_C_KERNEL=off; C arm: "
         "\nREPRO_C_KERNEL=on) vs per-pair scalar oracle.distance; "
         f"\nbest of {_rounds()} rounds, snapshot cache cleared per arm."
     )
@@ -272,28 +256,11 @@ def test_e16_feasibility_workload(benchmark):
             "rounds": _rounds(),
             "workloads": entries,
             "headline": headline,
-            "required_min_speedup": min_speedup,
             "required_min_speedup_c": float(
                 os.environ.get("REPRO_BENCH_MIN_BATCH_VS_SCALAR_C", "0")
             ),
         },
     )
-    if min_speedup:
-        assert headline["speedup"] >= min_speedup, (
-            f"batched feasibility checks only {headline['speedup']:.2f}x "
-            f"faster than per-pair scalar on {headline['kind']} "
-            f"n={headline['n']} (required {min_speedup}x)"
-        )
-    min_all = float(
-        os.environ.get("REPRO_BENCH_MIN_BATCH_VS_SCALAR_ALL", "0")
-    )
-    if min_all:
-        for entry in entries:
-            assert entry["speedup"] >= min_all, (
-                f"batched feasibility checks only {entry['speedup']:.2f}x "
-                f"faster than per-pair scalar on {entry['kind']} "
-                f"n={entry['n']} (required {min_all}x on every workload)"
-            )
     min_c = float(os.environ.get("REPRO_BENCH_MIN_BATCH_VS_SCALAR_C", "0"))
     if min_c and have_c:
         for entry in entries:

@@ -25,14 +25,13 @@ meet ``REPRO_BENCH_MIN_SERVE_LOAD``.
 
 **Served throughput.**  A faulted point-query workload answered
 through a live :class:`~repro.serve.QueryServer` (real sockets, real
-framing) three ways: *scalar* — one ``point`` request per query on
-the default engine; *batched (numpy)* — the same queries in one
-``batch`` frame on ``lex-bulk`` (the
-:class:`~repro.core.query_batch.PointQueryBatch` pipeline with C
-dispatch pinned off); *batched (C)* — the same frame on ``lex-bulk``
-with ``REPRO_C_KERNEL=on`` (compiled multi-pair kernel; skipped and
-recorded as such where the C kernel cannot load).  All arms must
-return byte-identical hop vectors.
+framing) two ways: *scalar* — one ``point`` request per query on the
+default engine; *batched (C)* — the same queries in one ``batch``
+frame on ``lex-csr`` with ``REPRO_C_KERNEL=on`` (the
+:class:`~repro.core.query_batch.PointQueryBatch` pipeline, its residue
+in the compiled multi-pair kernel; skipped and recorded as such where
+the C kernel cannot load).  Both arms must return byte-identical hop
+vectors.
 
 **Bytes per artifact.**  File size per rung, plus bytes per structure
 edge — the memory-per-artifact axis a build-once/serve-everywhere
@@ -64,7 +63,7 @@ from repro.serve import QueryServer, ServeClient
 
 from _common import RESULTS_DIR, cold_cache, emit, emit_json, table
 
-BATCH_ENGINE = "lex-bulk"
+BATCH_ENGINE = "lex-csr"
 
 
 def _sizes():
@@ -87,11 +86,10 @@ def _query_count():
 def _close_quietly(artifact):
     """Best-effort close for timed arms.
 
-    The bulk/C tiers build zero-copy numpy views over the mapping
-    (``np.asarray`` on the adopted CSR arrays), and ``Artifact.close``
-    deliberately refuses to pull memory out from under a live consumer
-    (``BufferError``).  The benchmark keeps no long-lived oracles, so
-    letting the interpreter unmap at collection time is correct here.
+    ``Artifact.close`` deliberately refuses to pull memory out from
+    under a live consumer of the mapping (``BufferError``).  The
+    benchmark keeps no long-lived oracles, so letting the interpreter
+    unmap at collection time is correct here.
     """
     try:
         artifact.close()
@@ -218,12 +216,10 @@ def test_e17_serve(benchmark):
         artifact = load_artifact(path)
         queries = _workload(structure, k)
         t_scalar, hops_scalar = _scalar_arm(artifact, queries)
-        t_np, hops_np = _served_arm(artifact, BATCH_ENGINE, queries, "off")
-        assert hops_np == hops_scalar  # bit-identity across served arms
         t_c = None
         if have_c:
             t_c, hops_c = _served_arm(artifact, BATCH_ENGINE, queries, "on")
-            assert hops_c == hops_scalar
+            assert hops_c == hops_scalar  # bit-identity across served arms
         _close_quietly(artifact)
         path.unlink()
 
@@ -239,7 +235,6 @@ def test_e17_serve(benchmark):
             "load_speedup": load_speedup,
             "queries": k,
             "scalar_qps": k / t_scalar,
-            "batch_numpy_qps": k / t_np,
             "batch_c_qps": (k / t_c) if t_c else None,
         }
         entries.append(entry)
@@ -252,7 +247,6 @@ def test_e17_serve(benchmark):
                 f"{1000.0 * best_load:.2f}",
                 f"{load_speedup:.1f}x",
                 f"{entry['scalar_qps']:.0f}",
-                f"{entry['batch_numpy_qps']:.0f}",
                 f"{entry['batch_c_qps']:.0f}" if t_c else "n/a",
             ]
         )
@@ -266,15 +260,13 @@ def test_e17_serve(benchmark):
             "load ms",
             "load speedup",
             "scalar qps",
-            "batch qps",
             "batch-c qps",
         ],
         rows,
     )
     note = (
         "served arms: scalar point frames (default engine) vs one batch "
-        "frame (lex-bulk, C dispatch off / on); identical hop vectors "
-        "asserted"
+        "frame (lex-csr, C dispatch on); identical hop vectors asserted"
     )
     emit("E17", "precompute-and-serve (artifact load, served QPS)", body + "\n" + note)
     emit_json(

@@ -23,7 +23,7 @@ Environment knobs (used by CI's smoke run):
     ``benchmarks/topologies/``).
 ``REPRO_E19_ENGINES``
     Comma list of engines, or ``all`` for every hop engine (default
-    ``lex-csr,lex-bulk``); an unknown engine name fails the run.  The
+    ``lex,lex-csr``); an unknown engine name fails the run.  The
     weighted family is excluded from ``all`` — its distance bodies are
     not comparable to hop bodies (E20 sweeps it separately).
 ``REPRO_BENCH_ROUNDS``
@@ -67,7 +67,7 @@ def _engines():
         ]
     if spec:
         return [e.strip() for e in spec.split(",") if e.strip()]
-    return ["lex-csr", "lex-bulk"]
+    return ["lex", "lex-csr"]
 
 
 def _rounds():

@@ -8,21 +8,18 @@ package:
 
 Dependency policy:
 
-* ``numpy`` is the only install requirement — it backs the vectorized
-  bulk kernel (:mod:`repro.core.bulk`) and the ``lex-bulk`` engine.
-  The library degrades gracefully without it (the pure-python kernels
-  keep working and ``lex-bulk`` simply is not registered), but an
-  installed package should have its fast path available.
-* The C batch kernel (``repro/core/_ckernel.c``, which ``lex-bulk``
-  dispatches its point-query batches to) builds as an *optional*
-  extension: hosts without a working compiler install cleanly —
-  setuptools downgrades the build failure to a warning — and the
-  library falls back to the numpy/python kernels
-  (``repro.core.ckernel`` can also compile the same source on demand
-  in source checkouts, so an installed extension is a convenience,
-  not a requirement).
+* There is no install requirement: the library is the standard library
+  plus an optional C kernel.
+* The C kernel (``repro/core/_ckernel.c``, which runs the default
+  engine's searches, sweeps and point-query batches) builds as an
+  *optional* extension: hosts without a working compiler install
+  cleanly — setuptools downgrades the build failure to a warning — and
+  the library falls back to the python kernel (``repro.core.ckernel``
+  can also compile the same source on demand in source checkouts, so
+  an installed extension is a convenience, not a requirement).
 * The ``test`` extra carries everything the tier-1 suite and the
-  benchmark harness need; CI installs via ``pip install -e .[test]``.
+  benchmark harness need (numpy only because ``perfbench/run.py``
+  records its version); CI installs via ``pip install -e .[test]``.
 """
 
 import sys
@@ -37,9 +34,9 @@ setup(
     name="repro-parter15",
     version="1.0.0",
     description=(
-        "Fault-tolerant BFS structures (Parter, PODC 2015): CSR + numpy "
-        "bulk traversal kernels, FT-BFS builders, verification and "
-        "benchmarks"
+        "Fault-tolerant BFS structures (Parter, PODC 2015): CSR "
+        "traversal kernel with an optional C tier, FT-BFS builders, "
+        "verification and benchmarks"
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
@@ -52,7 +49,7 @@ setup(
             extra_link_args=_thread_flags,
             # No compiler / broken toolchain must not fail the install:
             # repro.core.ckernel falls back to an on-demand build and
-            # then to the numpy/python kernels.
+            # then to the python kernel.
             optional=True,
         )
     ],
@@ -63,11 +60,10 @@ setup(
             "repro=repro.cli:main",
         ],
     },
-    install_requires=[
-        "numpy>=1.22",
-    ],
+    install_requires=[],
     extras_require={
         "test": [
+            "numpy>=1.22",
             "pytest>=7",
             "pytest-benchmark",
             "hypothesis",

@@ -17,16 +17,15 @@ Quick start::
     print(h.size, "of", g.m, "edges retained")
 
 Every restricted search funnels through one traversal substrate with
-three interchangeable canonical engines (pick with ``engine=`` or the
-CLI's ``--engine``): ``lex-csr`` (default; pooled flat-array python
-kernel), ``lex-bulk`` (vectorized numpy bulk kernel — whole BFS
-frontiers as int32 batches, bit-identical results, fastest on large
-graphs; present when numpy is installed), and ``lex`` (legacy layered
-reference).  Feasibility point queries are batch-first: builders plan
-them against a :class:`PointQueryBatch`
+two interchangeable lex-canonical engines (pick with ``engine=`` or
+the CLI's ``--engine``): ``lex-csr`` (default; pooled flat-array
+kernel, running in the optional compiled C kernel whenever it loads)
+and ``lex`` (legacy layered reference).  The package needs only the
+standard library.  Feasibility point queries are batch-first:
+builders plan them against a :class:`PointQueryBatch`
 (:mod:`repro.core.query_batch`), which deduplicates, groups by fault
 set and executes each group in one shot — tree-repair mini searches,
-shared sweeps, or the cross-query vectorized multi-pair kernel —
+one cross-query C multi-pair call, or a pooled scalar loop —
 bit-identically to per-pair queries.  Repeated feasibility checks are
 memoized in a process-wide snapshot cache
 (:mod:`repro.core.snapshot_cache`) shared across builders and oracles,
@@ -52,10 +51,7 @@ from repro.analysis import (
 )
 from repro.core import (
     DEFAULT_ENGINE,
-    HAVE_BULK,
     BFSTree,
-    BulkDistanceOracle,
-    BulkLexShortestPaths,
     CSRGraph,
     CSRLexShortestPaths,
     DistanceOracle,
@@ -144,13 +140,10 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BFSTree",
-    "BulkDistanceOracle",
-    "BulkLexShortestPaths",
     "CSRGraph",
     "CSRLexShortestPaths",
     "DEFAULT_ENGINE",
     "DistanceOracle",
-    "HAVE_BULK",
     "DualFaultDistanceOracle",
     "Edge",
     "FTQueryOracle",

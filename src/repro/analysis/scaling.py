@@ -4,8 +4,8 @@ The headline claims are asymptotic (``O(n^{5/3})``, ``Ω(n^{5/3})``,
 ``O(n^{3/2})``, ``O(√n)`` per vertex, ...).  The benchmarks therefore
 report, next to the raw size series, the *empirical exponent*: the
 least-squares slope of ``log size`` against ``log n``.  This module
-implements that fit without external dependencies (numpy is available
-but unnecessary for a 1-D regression).
+implements that fit without external dependencies (a 1-D regression
+needs none).
 """
 
 from __future__ import annotations

@@ -22,16 +22,14 @@ redirect every relative output path (structures, artifacts, ``bench
 --json``) into a writable directory on read-only checkouts.
 
 Engines (``--engine``): ``lex-csr`` (default; flat-array CSR kernel),
-``lex-bulk`` (vectorized numpy bulk kernel — whole-frontier expansion,
-bit-identical results, fastest on large graphs; available when numpy
-is installed), ``lex`` (legacy layered reference),
+``lex`` (legacy layered reference),
 ``perturbed`` (paper-literal randomized weights),
 plus the weighted family ``wlex`` / ``wlex-csr`` (deterministic
 Dijkstra over real edge weights with an ECMP query surface — see
-``docs/weighted.md``).  ``lex-csr`` and ``lex-bulk`` run their
-restricted searches, full sweeps and multi-pair batches in the
-compiled C kernel whenever it loads, and ``REPRO_C_KERNEL=on`` makes
-that a requirement (see ``docs/kernels.md``).  The weighted engines
+``docs/weighted.md``).  ``lex-csr`` runs its restricted searches,
+full sweeps and multi-pair batches in the compiled C kernel whenever
+it loads, and ``REPRO_C_KERNEL=on`` makes that a requirement (see
+``docs/kernels.md``).  The weighted engines
 compute weighted distances, so ``--engine all`` comparisons
 (``bench``, ``scenarios``) deliberately leave them out: their report
 bodies are only comparable to each other, not to the hop-count
@@ -39,13 +37,13 @@ engines; select them explicitly to sweep them (uniform-weight graphs
 then reproduce the lex bodies bit-for-bit).
 Builders answer their feasibility point queries through the batched
 plan→dedupe→execute pipeline of :mod:`repro.core.query_batch`
-(vectorized multi-pair execution under ``lex-bulk``; set
-``REPRO_QUERY_BATCH=0`` to force per-pair scalar queries).  ``bench
+(one C multi-pair call for the residue whenever the C kernel loads;
+set ``REPRO_QUERY_BATCH=0`` to force per-pair scalar queries).  ``bench
 --engine all`` times every hop engine on the same workload and
 reports speedups against the legacy ``lex`` engine, the kernel tier
 that actually served each arm's batched queries (auto-dispatch is
 otherwise invisible — ``REPRO_C_KERNEL=auto`` accelerates ``lex-csr``
-and ``lex-bulk`` whenever the C kernel loads), plus the snapshot-cache
+whenever the C kernel loads), plus the snapshot-cache
 hit/miss/eviction counters of one cold build; the process-wide
 snapshot cache (which lets builders share restricted-search results)
 is cleared before every timed round so no engine is measured against
@@ -331,10 +329,10 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
 def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
     """Which kernel tier actually served an arm's searches and batches.
 
-    Auto-dispatch (``REPRO_C_KERNEL``, ``REPRO_BULK_MIN_N``) makes the
-    executing tier invisible in the timings, so ``repro bench`` derives
-    it from the snapshot's dispatch counters after the build.  Engines
-    that never touch the C or bulk kernels report their fixed tier.
+    Auto-dispatch (``REPRO_C_KERNEL``) makes the executing tier
+    invisible in the timings, so ``repro bench`` derives it from the
+    snapshot's C dispatch counters after the build.  Engines that never
+    touch the C kernel report their fixed tier.
     """
     if engine == "lex":
         return "python (legacy)"
@@ -342,20 +340,12 @@ def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
         return "python (weighted heap)"
     if engine == "wlex-csr":
         return "csr (weighted dial; reference heap otherwise)"
-    if not stats or not any(stats.values()):
-        if engine in ("lex-csr", "perturbed"):
-            return "csr"
-        return "csr (no vectorized batch ran)"
+    stats = stats or {}
     served = []
     if stats.get("pairs_c_mt"):
         served.append("c-mt")
-    if any(
-        stats.get(key)
-        for key in ("searches_c", "full_sweeps_c", "pairs_c", "sweeps_c")
-    ):
+    if any(stats.get(key) for key in ("searches_c", "full_sweeps_c", "pairs_c")):
         served.append("c")
-    if stats.get("pairs_dense") or stats.get("sweeps_numpy"):
-        served.append("numpy")
     return "+".join(served) if served else "csr"
 
 
@@ -381,17 +371,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro.core import parallel
+    from repro.core.ckernel import c_thread_count
+    from repro.core.csr import kernel_dispatch_stats
     from repro.core.snapshot_cache import shared_cache
-
-    try:
-        from repro.core.bulk import kernel_dispatch_stats
-    except ImportError:  # numpy-less install: no bulk kernel to inspect
-        kernel_dispatch_stats = None
-    try:
-        from repro.core.ckernel import c_thread_count
-    except ImportError:  # numpy-less install
-        def c_thread_count() -> int:
-            return 1
 
     graph = parse_graph_spec(args.graph)
     builder = BUILDERS[args.builder]
@@ -441,8 +423,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             # and the comparison would measure cache hits, not engines.
             shared_cache().clear()
             shared_cache().reset_stats()
-            if kernel_dispatch_stats is not None:
-                kernel_dispatch_stats(graph, reset=True)
+            kernel_dispatch_stats(graph, reset=True)
             t0 = time.perf_counter()
             structure = timed_build(engine, 1)
             best = min(best, time.perf_counter() - t0)
@@ -452,8 +433,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             # clear+reset, so the last capture is representative,
             # not cumulative).
             cache_stats = shared_cache().stats()
-            if kernel_dispatch_stats is not None:
-                tier_stats = kernel_dispatch_stats(graph)
+            tier_stats = kernel_dispatch_stats(graph)
         par: Dict[str, object] = {
             "jobs": jobs,
             "c_threads": c_threads,
@@ -472,8 +452,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for _ in range(rounds):
                 shared_cache().clear()
                 shared_cache().reset_stats()
-                if kernel_dispatch_stats is not None:
-                    kernel_dispatch_stats(graph, reset=True)
+                kernel_dispatch_stats(graph, reset=True)
                 t0 = time.perf_counter()
                 par_structure = timed_build(engine, jobs)
                 elapsed = time.perf_counter() - t0
@@ -521,10 +500,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"             kernel: {tier} — searches "
                 f"{ds.get('searches_c', 0)} c, full sweeps "
                 f"{ds.get('full_sweeps_c', 0)} c; pairs "
-                f"{ds.get('pairs_c_mt', 0)} c-mt / "
-                f"{ds['pairs_c']} c / {ds['pairs_dense']} numpy / "
-                f"{ds['pairs_cutover']} cutover; sweep targets "
-                f"{ds['sweeps_c']} c / {ds['sweeps_numpy']} numpy"
+                f"{ds.get('pairs_c_mt', 0)} c-mt / {ds['pairs_c']} c"
             )
         else:
             print(f"             kernel: {tier}")
@@ -760,7 +736,7 @@ def make_parser() -> argparse.ArgumentParser:
         help=(
             "canonical shortest-path engine (default: %(default)s); "
             "feasibility checks run through the batched point-query "
-            "pipeline, vectorized under lex-bulk"
+            "pipeline"
         ),
     )
     p_build.add_argument("--out", required=True)

@@ -5,19 +5,16 @@ and batch-first (``DistanceOracle.distances_bulk`` and the
 :class:`~repro.core.query_batch.PointQueryBatch` planner from
 ``DistanceOracle.batch()``), which plans many feasibility probes,
 deduplicates them against the process-wide snapshot cache, groups them
-by frozen fault set and executes each group in one shot — vectorized
-on the numpy bulk kernel where available.  Builders that issue many
+by frozen fault set and executes each group in one shot — in one C
+call whenever the compiled kernel loads.  Builders that issue many
 probes should plan-then-execute; see :mod:`repro.core.query_batch`.
 """
 
 from repro.core.canonical import (
     DEFAULT_ENGINE,
-    HAVE_BULK,
     INF,
     UNREACHABLE,
     UNREACHED,
-    BulkDistanceOracle,
-    BulkLexShortestPaths,
     CSRLexShortestPaths,
     DistanceOracle,
     LexShortestPaths,
@@ -81,14 +78,11 @@ from repro.core.tree import BFSTree
 
 __all__ = [
     "DEFAULT_ENGINE",
-    "HAVE_BULK",
     "INF",
     "UNREACHABLE",
     "UNREACHED",
     "BFSTree",
     "Blueprint",
-    "BulkDistanceOracle",
-    "BulkLexShortestPaths",
     "CSRGraph",
     "CSRLexShortestPaths",
     "ConstructionError",

@@ -2,21 +2,18 @@
  *
  * This file implements the restricted searches of the traversal stack
  * — the parent-producing canonical BFS and its distance-only sweep,
- * multi-pair bidirectional point queries and the shared-sweep
- * multi-target query — as plain C over the same flat CSR arrays the
- * python and numpy kernels read (`indptr` int64, `nbr`/`arc_eid`
- * int32).  It removes the per-arc interpretation cost of the python
- * kernel and the per-round dispatch cost of the numpy kernel, which
- * dominates on shallow expander workloads where each search finishes
- * in 2-3 rounds (see docs/kernels.md).
+ * and multi-pair bidirectional point queries — as plain C over the
+ * same flat CSR arrays the python kernel reads (`indptr` int64,
+ * `nbr`/`arc_eid` narrowed to int32).  It removes the per-arc
+ * interpretation cost of the python kernel (see docs/kernels.md).
  *
  * repro_bfs is a direct port of CSRGraph.bfs / bfs_dists: a FIFO
  * search over the sorted CSR rows keeping the first discoverer as
  * parent, which is the lex-minimal canonical tree (argument in the
  * docstring of repro/core/csr.py), stopping at the target's discovery.
  *
- * The batch kernels port the scalar reference
- * (CSRGraph.bidir_distance / BulkCSRKernel.multi_target_dists):
+ * The multi-pair kernels port the scalar reference
+ * (CSRGraph.bidir_distance):
  *
  *  - meet-in-the-middle search growing the smaller frontier (ties to
  *    the source side), stopping at the end of the first expansion
@@ -24,7 +21,7 @@
  *    round's minimum dist_s + 1 + dist_t candidate — the exactness
  *    argument (first-discovery finality + completed-round minimum)
  *    never depends on the growth schedule, so distances are
- *    bit-identical to every other kernel tier;
+ *    bit-identical to the python kernel's;
  *  - generation-stamped scratch owned by the caller: visit/ban tables
  *    are never cleared, an entry is live iff it carries the current
  *    generation, and the caller advances its counter past the
@@ -81,7 +78,7 @@ PyInit__ckernel(void)
 /* Bumped whenever an exported signature changes; the ctypes wrapper
  * refuses a library whose ABI tag it does not recognize (stale cached
  * build of an older source). */
-#define REPRO_CKERNEL_ABI 4
+#define REPRO_CKERNEL_ABI 5
 
 REPRO_EXPORT int64_t
 repro_ckernel_abi(void)
@@ -425,85 +422,4 @@ repro_multi_pair_dists_mt(const int64_t *indptr, const int32_t *nbr,
     for (int64_t t = 0; t < nthreads; t++)
         pair_job_run(&jobs[t]);
 #endif
-}
-
-/* Hop distances from one source to each target under one shared
- * restriction: a single FIFO BFS with per-target early exit — the
- * search stops once the last distinct pending target is discovered
- * (first discovery is final in BFS, so every reported distance is
- * exact).  tmark is caller-owned n-sized scratch; discovered targets
- * are cleared to 0, which can never equal a live generation (gens
- * start at 1 and only grow).  out is aligned with targets, -1 where
- * the restriction cuts a pair. */
-REPRO_EXPORT void
-repro_multi_target_dists(const int64_t *indptr, const int32_t *nbr,
-                         const int32_t *arc_eid, int32_t source,
-                         int64_t ntargets, const int32_t *targets,
-                         int64_t ne, const int32_t *eb_ids,
-                         int64_t nv, const int32_t *vb_ids,
-                         int64_t gen,
-                         int64_t *visit, int32_t *dist,
-                         int64_t *eban, int64_t *vban,
-                         int64_t *tmark, int32_t *queue,
-                         int32_t *out)
-{
-    int have_e = ne > 0;
-    int have_v = nv > 0;
-    for (int64_t i = 0; i < ne; i++)
-        eban[eb_ids[i]] = gen;
-    for (int64_t i = 0; i < nv; i++)
-        vban[vb_ids[i]] = gen;
-    for (int64_t i = 0; i < ntargets; i++)
-        out[i] = -1;
-    if (have_v && vban[source] == gen)
-        return;
-    int64_t remaining = 0;
-    for (int64_t i = 0; i < ntargets; i++) {
-        int32_t t = targets[i];
-        if (tmark[t] != gen) {
-            tmark[t] = gen;
-            remaining++;
-        }
-    }
-    visit[source] = gen;
-    dist[source] = 0;
-    if (tmark[source] == gen) {
-        tmark[source] = 0;
-        remaining--;
-    }
-    int64_t head = 0, tail = 0;
-    queue[tail++] = source;
-    while (head < tail && remaining > 0) {
-        int32_t u = queue[head++];
-        int32_t du = dist[u] + 1;
-        int64_t p_end = indptr[u + 1];
-        for (int64_t p = indptr[u]; p < p_end; p++) {
-            int32_t w = nbr[p];
-            if (visit[w] == gen)
-                continue;
-            if (have_e && eban[arc_eid[p]] == gen)
-                continue;
-            if (have_v && vban[w] == gen)
-                continue;
-            visit[w] = gen;
-            dist[w] = du;
-            queue[tail++] = w;
-            if (tmark[w] == gen) {
-                tmark[w] = 0;
-                if (--remaining == 0)
-                    break;
-            }
-        }
-    }
-    /* Leave no live tmark stamps behind for targets the search never
-     * reached — the scratch is shared with later calls only through
-     * the generation, so stale stamps are harmless, but clearing keeps
-     * the invariant simple: tmark never holds a live gen on exit. */
-    for (int64_t i = 0; i < ntargets; i++) {
-        int32_t t = targets[i];
-        if (visit[t] == gen)
-            out[i] = dist[t];
-        if (tmark[t] == gen)
-            tmark[t] = 0;
-    }
 }

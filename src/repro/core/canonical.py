@@ -4,7 +4,7 @@ Every proof in the paper assumes a weight assignment ``W`` that breaks
 shortest-path ties consistently, so that ``SP(u, v, G', W)`` is a *unique*
 path for every subgraph ``G'`` and the choice is globally consistent
 (subpaths of chosen paths are themselves chosen).  This module supplies
-that abstraction with four interchangeable engines:
+that abstraction with three interchangeable engines:
 
 ``CSRLexShortestPaths`` (``"lex-csr"``, the default)
     Computes, for every vertex, the lexicographically-minimal shortest
@@ -45,24 +45,6 @@ that abstraction with four interchangeable engines:
     probability ``≈ 2^-100``.  Its inner loop also runs on the CSR
     kernel (per-edge-id weight table, stamped bans).
 
-``BulkLexShortestPaths`` (``"lex-bulk"``, requires :mod:`numpy`)
-    The same lex-minimal assignment computed by the vectorized bulk
-    kernel of :mod:`repro.core.bulk`: whole BFS frontiers are expanded
-    as int32 numpy batches (vectorized neighbor gathers over the CSR
-    arrays, boolean ban masks, stable first-occurrence parent
-    reduction), which is bit-for-bit equivalent to both lex engines —
-    asserted by ``tests/test_csr_equivalence.py`` — and overtakes the
-    python kernel once graphs outgrow the per-level vectorization
-    overhead (n ≳ 500).  On small graphs the bulk kernel transparently
-    delegates to the python kernel, so the engine is never worse than
-    ``lex-csr`` by more than a constant.  Its searches, sweeps and
-    batched point-query strategies (cross-query multi-pair, shared
-    early-exit sweeps) dispatch to the compiled C kernel of
-    :mod:`repro.core.ckernel` whenever it loads; under
-    ``REPRO_C_KERNEL=on`` a search or batch that cannot reach C raises
-    instead of degrading (see ``docs/kernels.md`` for the full
-    ladder).  Registered only when numpy is importable.
-
 Fault simulation is expressed with *banned* vertex/edge sets interpreted
 in the traversal inner loop — restricted graphs like ``G \\ F``,
 ``G(u_k, u_l)`` (Eq. 3) and ``G_D(w_ℓ)`` (Eq. 4) never require copying
@@ -70,11 +52,12 @@ the graph.
 
 The module also provides :class:`DistanceOracle` (CSR-backed, with a
 keyed memo cache for the repeated ``(source, target, F)`` feasibility
-checks that dominate Algorithm ``Cons2FTBFS``), its bulk-kernel
-sibling :class:`BulkDistanceOracle`, the batched
+checks that dominate Algorithm ``Cons2FTBFS``), the batched
 :meth:`DistanceOracle.multi_source_distances` API for FT-MBFS
 workloads, and the one-shot helpers :func:`bfs_distances` /
-:func:`bfs_distance`.
+:func:`bfs_distance`.  Every oracle and helper rejects a source outside
+``[0, n)`` with :class:`~repro.core.errors.GraphError`; an
+out-of-range *target* is simply never found (``inf``).
 
 Point queries additionally come in a *batch-first* shape: every oracle
 family answers :meth:`DistanceOracle.distances_bulk` (many pairs, one
@@ -82,9 +65,8 @@ restriction, one ban stamping) and hands out a
 :meth:`DistanceOracle.batch` planner
 (:class:`~repro.core.query_batch.PointQueryBatch`) that deduplicates
 heterogeneous feasibility probes, groups them by frozen fault set, and
-executes each group in one shot — vectorized shared-level sweeps on
-the numpy kernel under :class:`BulkDistanceOracle`, a pooled scalar
-loop otherwise.  Converted consumers (``Cons2FTBFS``, sensitivity
+executes each group in one shot — tree repair, one C multi-pair call,
+or a pooled scalar loop.  Converted consumers (``Cons2FTBFS``, sensitivity
 oracles, replacement-path selection) plan their probes first and
 execute once; see :mod:`repro.core.query_batch`.
 
@@ -111,15 +93,6 @@ from repro.core.graph import Edge, Graph, normalize_edge
 from repro.core.paths import Path, path_from_parents
 from repro.core.query_batch import LegacyQueryBatch, PointQueryBatch
 from repro.core.snapshot_cache import SnapshotCache, shared_cache
-
-try:  # The bulk kernel needs numpy; everything else must work without.
-    from repro.core.bulk import bulk_of
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    bulk_of = None
-
-#: True when the vectorized bulk kernel (and the ``lex-bulk`` engine /
-#: :class:`BulkDistanceOracle`) are available in this interpreter.
-HAVE_BULK = bulk_of is not None
 
 UNREACHED = -1
 #: Distance value reported for unreachable vertices by convenience APIs.
@@ -224,6 +197,17 @@ class SearchResult:
     def distances(self) -> List[int]:
         """Raw distance list (``-1`` = unreachable); do not mutate."""
         return self._dist
+
+
+def _check_source(source: int, n: int) -> None:
+    """Reject a query source outside ``[0, n)``.
+
+    The kernels index their scratch tables by source, so a negative
+    source would alias vertex ``n + source`` and a large one would
+    raise a bare ``IndexError``.
+    """
+    if not 0 <= source < n:
+        raise GraphError(f"source {source} outside [0, {n})")
 
 
 def _normalize_banned_edges(banned_edges) -> Optional[Set[Edge]]:
@@ -385,51 +369,6 @@ class CSRLexShortestPaths:
         """``SP(source, target, G', W)``: the unique canonical path."""
         res = self.search(source, banned_edges, banned_vertices, target=target)
         return res.path(target)
-
-
-class BulkLexShortestPaths(CSRLexShortestPaths):
-    """Lexicographic canonical shortest paths on the numpy bulk kernel.
-
-    Identical observable behavior to :class:`CSRLexShortestPaths` — the
-    bulk kernel's level-synchronous expansion with stable
-    first-occurrence parent reduction produces the same lex-minimal
-    tree bit for bit (see :mod:`repro.core.bulk`) — but whole frontiers
-    are processed as int32 numpy batches, so large graphs pay a few
-    array operations per BFS level instead of interpreted python per
-    arc.  Below the vectorization crossover the kernel delegates to the
-    shared python kernel, making this engine safe to select
-    unconditionally when numpy is present.
-    """
-
-    name = "lex-bulk"
-
-    def __init__(
-        self,
-        graph: Graph,
-        cache_size: int = 8_192,
-        cache: Optional[SnapshotCache] = None,
-    ) -> None:
-        if not HAVE_BULK:
-            raise GraphError(
-                "the lex-bulk engine requires numpy, which is not installed"
-            )
-        super().__init__(graph, cache_size, cache)
-        self._kernel = bulk_of(graph)
-
-    def _snapshot(self) -> CSRGraph:
-        csr = super()._snapshot()
-        if self._kernel.csr is not csr:  # graph mutated: fresh kernel
-            self._kernel = bulk_of(self.graph)
-        return csr
-
-    def _run(self, csr: CSRGraph, source: int, eids, verts, target) -> SearchResult:
-        kernel = self._kernel
-        ban = kernel.stamp_edge_ids(eids, verts)
-        if kernel.source_banned(source, ban):
-            raise GraphError(f"source {source} is banned")
-        kernel.bfs(source, ban, target)
-        dist, parent = kernel.collect()
-        return SearchResult(source, dist, parent)
 
 
 class LexShortestPaths:
@@ -706,11 +645,6 @@ class DistanceOracle:
             self._csr = csr
         return csr
 
-    def _sweep_kernel(self, csr: CSRGraph):
-        """The kernel running full distance sweeps (python CSR here;
-        the bulk oracle overrides this with the numpy kernel)."""
-        return csr
-
     def _restriction(self, csr, banned_edges, banned_vertices):
         eids = csr.resolve_edge_ids(banned_edges)
         eids.sort()
@@ -767,6 +701,7 @@ class DistanceOracle:
         cache = self._cache
         d = cache.get(csr, self._PT_NS, key)
         if d is None:
+            _check_source(source, csr.n)
             if 0 <= target < csr.n:
                 d = csr.bidir_distance(
                     source, target, csr.stamp_edge_ids(eids, verts)
@@ -793,9 +728,9 @@ class DistanceOracle:
         cache = self._cache
         vec = cache.get(csr, self._VEC_NS, key)
         if vec is None:
-            kernel = self._sweep_kernel(csr)
-            kernel.bfs_dists(source, kernel.stamp_edge_ids(eids, verts))
-            vec = kernel.distances_list()
+            _check_source(source, csr.n)
+            csr.bfs_dists(source, csr.stamp_edge_ids(eids, verts))
+            vec = csr.distances_list()
             cache.put(
                 csr,
                 self._VEC_NS,
@@ -826,17 +761,17 @@ class DistanceOracle:
         eids, verts = self._restriction(csr, banned_edges, banned_vertices)
         ekey, vkey = tuple(eids), tuple(verts)
         cache = self._cache
-        kernel = self._sweep_kernel(csr)
         ban = None
         out: List[List[int]] = []
         for s in sources:
             key = (s, ekey, vkey)
             vec = cache.get(csr, self._VEC_NS, key)
             if vec is None:
+                _check_source(s, csr.n)
                 if ban is None:  # stamp lazily, once, for all misses
-                    ban = kernel.stamp_edge_ids(eids, verts)
-                kernel.bfs_dists(s, ban)
-                vec = kernel.distances_list()
+                    ban = csr.stamp_edge_ids(eids, verts)
+                csr.bfs_dists(s, ban)
+                vec = csr.distances_list()
                 cache.put(
                     csr,
                     self._VEC_NS,
@@ -848,41 +783,6 @@ class DistanceOracle:
                 )
             out.append(list(vec))
         return out
-
-
-class BulkDistanceOracle(DistanceOracle):
-    """:class:`DistanceOracle` with full sweeps on the numpy bulk kernel.
-
-    Point queries keep the python kernel's bidirectional meet-in-the-
-    middle search (its two small balls rarely have frontiers worth
-    vectorizing), but full distance sweeps and the batched multi-source
-    path — the O(n + m)-per-call workhorses — run level-synchronously
-    on :class:`repro.core.bulk.BulkCSRKernel`.  Paired with the
-    ``lex-bulk`` engine via ``oracle_class``.
-    """
-
-    __slots__ = ()
-
-    _PT_NS = "pt:bulk"
-    _VEC_NS = "vec:bulk"
-
-    def __init__(
-        self,
-        graph: Graph,
-        cache_size: int = 262_144,
-        cache: Optional[SnapshotCache] = None,
-    ) -> None:
-        if not HAVE_BULK:
-            raise GraphError(
-                "BulkDistanceOracle requires numpy, which is not installed"
-            )
-        super().__init__(graph, cache_size, cache)
-
-    def _sweep_kernel(self, csr: CSRGraph):
-        kernel = csr._bulk
-        if kernel is None:
-            kernel = bulk_of(self.graph)
-        return kernel
 
 
 class PythonDistanceOracle:
@@ -957,6 +857,7 @@ class PythonDistanceOracle:
         return [dist[v] if mark[v] == stamp else UNREACHED for v in range(self.graph.n)]
 
     def _run(self, source, banned_edges, banned_vertices, target) -> Optional[int]:
+        _check_source(source, self.graph.n)
         be = _normalize_banned_edges(banned_edges)
         bv = _normalize_banned_vertices(banned_vertices)
         # The stamp must advance even on the banned-source early exit,
@@ -1002,24 +903,18 @@ class PythonDistanceOracle:
 
 #: Oracle family matching each engine: legacy engines pair with the
 #: legacy oracle (so ``--engine lex`` reproduces the pre-kernel system
-#: end to end), CSR-backed engines pair with the CSR oracle, the bulk
-#: engine with the bulk oracle.
+#: end to end), CSR-backed engines pair with the CSR oracle.
 LexShortestPaths.oracle_class = PythonDistanceOracle
 CSRLexShortestPaths.oracle_class = DistanceOracle
 PerturbedShortestPaths.oracle_class = DistanceOracle
-BulkLexShortestPaths.oracle_class = BulkDistanceOracle
 
 
-#: Registry of available engines, keyed by their ``name``.  The bulk
-#: engine registers only when numpy is importable, so numpy-less
-#: installs keep working with the python kernels.
+#: Registry of available engines, keyed by their ``name``.
 ENGINES = {
     CSRLexShortestPaths.name: CSRLexShortestPaths,
     LexShortestPaths.name: LexShortestPaths,
     PerturbedShortestPaths.name: PerturbedShortestPaths,
 }
-if HAVE_BULK:
-    ENGINES[BulkLexShortestPaths.name] = BulkLexShortestPaths
 
 #: Default engine used whenever callers pass ``engine=None``.
 DEFAULT_ENGINE = CSRLexShortestPaths.name
@@ -1048,6 +943,7 @@ def bfs_distances(
     on the same graph reuse the pooled kernel.
     """
     csr = csr_of(graph)
+    _check_source(source, csr.n)
     csr.bfs_dists(source, csr.stamp_bans(banned_edges, banned_vertices))
     return csr.distances_list()
 
@@ -1061,6 +957,7 @@ def bfs_distance(
 ) -> float:
     """One-shot plain BFS point-to-point distance (``inf`` if cut)."""
     csr = csr_of(graph)
+    _check_source(source, csr.n)
     if not (0 <= target < csr.n):
         return INF
     d = csr.bidir_distance(

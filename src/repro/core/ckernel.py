@@ -1,18 +1,18 @@
 """Loader + ctypes wrapper for the compiled C kernel (``_ckernel.c``).
 
-The third tier of the kernel ladder (python → numpy → C; see
-``docs/kernels.md``): the restricted canonical search and its
+The upper rung of the two-rung kernel ladder (python CSR kernel → C;
+see ``docs/kernels.md``): the restricted canonical search and its
 distance-only sweep (:meth:`CKernel.bfs`, behind ``CSRGraph.bfs`` /
-``bfs_dists`` and their numpy twins) and the two batch hot paths of
-the point-query pipeline — :meth:`CKernel.multi_pair_dists` and
-:meth:`CKernel.multi_target_dists` — implemented in plain C over the
-same flat CSR arrays every other tier reads.  The C tier removes the
-per-arc interpretation cost of the python kernel and the per-round
-python/array dispatch of the numpy kernel, which dominates on shallow
-expander workloads whose searches finish in 2-3 rounds.  Results are
-bit-identical to every other tier (same FIFO first-discoverer order,
+``bfs_dists``) and the batch hot path of the point-query pipeline
+(:meth:`CKernel.multi_pair_dists`, behind
+``CSRGraph.multi_pair_dists``), implemented in plain C over the same
+flat CSR arrays the python kernel reads.  The C tier removes the
+python kernel's per-arc interpretation cost.  Results are
+bit-identical to the python kernel (same FIFO first-discoverer order,
 same exactness argument, same ban-stamp semantics, same ``-1``
-conventions); the only thing that changes is the wall clock.
+conventions); the only thing that changes is the wall clock.  The
+wrapper needs nothing beyond the standard library: buffers are
+:mod:`array` objects handed to C as ctypes pointers.
 
 **Loading.**  ``_ckernel.c`` carries no CPython dependency, so one
 source serves two build paths, tried in order by :func:`load_c_library`:
@@ -26,8 +26,8 @@ source serves two build paths, tried in order by :func:`load_c_library`:
    reused across processes.
 
 Both paths failing is not an error: the load outcome is memoized and
-the numpy/python kernels keep serving every query, so pure-python
-installs and compiler-less hosts are unaffected (guaranteed by the
+the python kernel keeps serving every query, so pure-python installs
+and compiler-less hosts are unaffected (guaranteed by the
 fallback tests in ``tests/test_query_batch.py``).
 
 Environment knobs (see ``docs/tuning.md``):
@@ -70,13 +70,11 @@ import tempfile
 from array import array
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.errors import GraphError
 
 #: ABI tag the wrapper expects; must match the ABI macro in
 #: ``_ckernel.c`` (a mismatched cached build is rejected and rebuilt).
-ABI = 4
+ABI = 5
 
 #: Default ``REPRO_C_MT_MIN``: below this many queries per batch the
 #: serial C entry point wins (thread spawn ~tens of µs vs ~1 µs/pair).
@@ -208,17 +206,6 @@ def _configure(lib: ctypes.CDLL) -> Tuple[Optional[ctypes.CDLL], str]:
         _P64, _P32, _P64, _P32,  # visit_s, dist_s, visit_t, dist_t (T×n)
         _P64, _P64,  # eban (T×m), vban (T×n)
         _P32,  # frontier block (T×4×n)
-        _P32,  # out
-    ]
-    lib.repro_multi_target_dists.restype = None
-    lib.repro_multi_target_dists.argtypes = [
-        _P64, _P32, _P32,  # indptr, nbr, arc_eid
-        c32, c64, _P32,  # source, ntargets, targets
-        c64, _P32, c64, _P32,  # ne, eb_ids, nv, vb_ids
-        c64,  # gen
-        _P64, _P32,  # visit, dist
-        _P64, _P64,  # eban, vban
-        _P64, _P32,  # tmark, queue
         _P32,  # out
     ]
     return lib, "ok"
@@ -361,36 +348,53 @@ def c_kernel_available() -> bool:
     return c_kernel_status()[0]
 
 
-def _p64(arr: np.ndarray):
-    return arr.ctypes.data_as(_P64)
+def _ptr(buf: array, ptype):
+    """A typed ctypes pointer to ``buf``'s storage (kept alive by the caller)."""
+    return ctypes.cast(buf.buffer_info()[0], ptype)
 
 
-def _p32(arr: np.ndarray):
-    return arr.ctypes.data_as(_P32)
+def _int64_copy(values) -> array:
+    """An ``array('q')`` copy of an int64 buffer, made by one memcpy.
+
+    ``values`` is an ``array('q')`` or a cast :class:`memoryview` (an
+    adopted artifact snapshot's mmap-backed section); either way the
+    copy owns its memory, so no view pins the mapping.
+    """
+    out = array("q")
+    out.frombytes(memoryview(values).cast("B"))
+    return out
 
 
-def _check_range(arr: np.ndarray, bound: int, what: str) -> None:
-    """Raise :class:`GraphError` unless every entry lies in ``[0, bound)``.
+def _ids(values: List[int], bound: int, what: str) -> array:
+    """``values`` as a C id array, after checking each lies in ``[0, bound)``.
 
     The C side indexes its scratch tables with these ids unchecked, so
-    an out-of-range id must be rejected here, never passed on.
+    an out-of-range id must be rejected here, never passed on.  The
+    check runs on python ints, before narrowing, so an id too wide for
+    int32 raises :class:`GraphError` too, never ``OverflowError``.
     """
-    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= bound):
+    if values and (min(values) < 0 or max(values) >= bound):
         raise GraphError(f"{what} outside [0, {bound})")
+    return array("i", values)
+
+
+def _filled(code: str, value: int, count: int) -> array:
+    """A fresh ``count``-item array of ``value`` (one memcpy-based repeat)."""
+    return array(code, [value]) * count
 
 
 class CKernel:
     """Per-snapshot scratch + entry points for the compiled C kernels.
 
-    Owned by a CSR snapshot (:meth:`repro.core.csr.CSRGraph.c_kernel`),
-    so the python and numpy kernels of one snapshot share one.  The
-    flat topology is copied once, the stamped visit/ban tables are
-    allocated once and recycled with the same generation discipline as
-    the python kernel — the C side never clears anything, it only
-    compares stamps against the generation the wrapper hands it and the
-    wrapper advances its counter past every generation consumed.  The
-    ctypes pointers of every persistent array are built once as well:
-    a ``data_as`` cast per call costs more than a small search.
+    Owned by a CSR snapshot (:meth:`repro.core.csr.CSRGraph.c_kernel`).
+    The flat topology is copied once into :mod:`array` buffers, the
+    stamped visit/ban tables are allocated once and recycled with the
+    same generation discipline as the python kernel — the C side never
+    clears anything, it only compares stamps against the generation the
+    wrapper hands it and the wrapper advances its counter past every
+    generation consumed.  The ctypes pointers of every persistent
+    buffer are built once as well: a pointer cast per call costs more
+    than a small search.
     """
 
     __slots__ = (
@@ -406,17 +410,14 @@ class CKernel:
         "_dist_t",
         "_eban",
         "_vban",
-        "_tmark",
         "_fr",
         "_queue",
         "_dist",
         "_parent",
-        "_parent_bytes",
         "_bans",
         "_gen",
         "_p_topo",
         "_p_pair",
-        "_p_sweep",
         "_p_bfs",
         "_p_dist",
         "_p_parent",
@@ -438,52 +439,49 @@ class CKernel:
         self.n = n
         self.m = max(m, 1)
         # Copies, never views: an adopted (artifact) snapshot's flat
-        # arrays are mmap-backed memoryviews, and a numpy view would pin
-        # the mapping (Artifact.close() would then raise BufferError).
-        self._indptr = np.array(indptr, dtype=np.int64)
-        self._nbr = np.array(nbr, dtype=np.int32)
-        self._arc_eid = np.array(arc_eid, dtype=np.int32)
+        # arrays are mmap-backed memoryviews, and a view kept here would
+        # pin the mapping (Artifact.close() would then raise BufferError).
+        self._indptr = _int64_copy(indptr)
+        # The CSR ids all lie in [0, 2**31), so narrowing is exact.
+        self._nbr = array("i", nbr)
+        self._arc_eid = array("i", arc_eid)
         # Stamped scratch (python-kernel pooling invariants 1-3 apply):
         # generations start at 1, every table starts below any stamp.
-        self._visit_s = np.full(n, -1, dtype=np.int64)
-        self._dist_s = np.zeros(n, dtype=np.int32)
-        self._visit_t = np.full(n, -1, dtype=np.int64)
-        self._dist_t = np.zeros(n, dtype=np.int32)
-        self._eban = np.full(self.m, -1, dtype=np.int64)
-        self._vban = np.full(n, -1, dtype=np.int64)
-        self._tmark = np.zeros(n, dtype=np.int64)
-        self._fr = np.empty((4, max(n, 1)), dtype=np.int32)
-        self._queue = np.empty(max(n, 1), dtype=np.int32)
+        size = max(n, 1)
+        self._visit_s = _filled("q", -1, size)
+        self._dist_s = _filled("i", 0, size)
+        self._visit_t = _filled("q", -1, size)
+        self._dist_t = _filled("i", 0, size)
+        self._eban = _filled("q", -1, self.m)
+        self._vban = _filled("q", -1, size)
+        self._fr = [_filled("i", 0, size) for _ in range(4)]
+        self._queue = _filled("i", 0, size)
         # repro_bfs outputs, rewritten in full by every search.
-        self._dist = np.empty(n, dtype=np.int32)
-        self._parent = np.empty(n, dtype=np.int32)
-        self._parent_bytes = self._parent.view(np.uint8)
+        self._dist = _filled("i", 0, n)
+        self._parent = _filled("i", 0, n)
         self._bans = (ctypes.c_int32 * 8)()
         self._gen = 0
-        self._p_topo = (_p64(self._indptr), _p32(self._nbr), _p32(self._arc_eid))
+        self._p_topo = (
+            _ptr(self._indptr, _P64),
+            _ptr(self._nbr, _P32),
+            _ptr(self._arc_eid, _P32),
+        )
         self._p_pair = (
-            _p64(self._visit_s),
-            _p32(self._dist_s),
-            _p64(self._visit_t),
-            _p32(self._dist_t),
-            _p64(self._eban),
-            _p64(self._vban),
-            _p32(self._fr[0]),
-            _p32(self._fr[1]),
-            _p32(self._fr[2]),
-            _p32(self._fr[3]),
+            _ptr(self._visit_s, _P64),
+            _ptr(self._dist_s, _P32),
+            _ptr(self._visit_t, _P64),
+            _ptr(self._dist_t, _P32),
+            _ptr(self._eban, _P64),
+            _ptr(self._vban, _P64),
+            *(_ptr(fr, _P32) for fr in self._fr),
         )
-        self._p_sweep = (
-            _p64(self._visit_s),
-            _p32(self._dist_s),
-            _p64(self._eban),
-            _p64(self._vban),
-            _p64(self._tmark),
-            _p32(self._queue),
+        self._p_bfs = (
+            _ptr(self._eban, _P64),
+            _ptr(self._vban, _P64),
+            _ptr(self._queue, _P32),
         )
-        self._p_bfs = (_p64(self._eban), _p64(self._vban), _p32(self._queue))
-        self._p_dist = _p32(self._dist)
-        self._p_parent = _p32(self._parent)
+        self._p_dist = _ptr(self._dist, _P32)
+        self._p_parent = _ptr(self._parent, _P32)
         # Threaded multi-pair scratch: T disjoint slabs, allocated
         # lazily at the first threaded dispatch and regrown when the
         # thread count rises.  Fresh slabs start at stamp -1, below
@@ -498,23 +496,17 @@ class CKernel:
         if threads <= self._mt_threads:
             return
         n = max(self.n, 1)
-        visit_s = np.full((threads, n), -1, dtype=np.int64)
-        dist_s = np.zeros((threads, n), dtype=np.int32)
-        visit_t = np.full((threads, n), -1, dtype=np.int64)
-        dist_t = np.zeros((threads, n), dtype=np.int32)
-        eban = np.full((threads, self.m), -1, dtype=np.int64)
-        vban = np.full((threads, n), -1, dtype=np.int64)
-        fr = np.empty((threads, 4 * n), dtype=np.int32)
-        self._mt_scratch_arrays = (visit_s, dist_s, visit_t, dist_t, eban, vban, fr)
-        self._p_mt = (
-            _p64(visit_s),
-            _p32(dist_s),
-            _p64(visit_t),
-            _p32(dist_t),
-            _p64(eban),
-            _p64(vban),
-            _p32(fr),
+        slabs = (
+            (_filled("q", -1, threads * n), _P64),  # visit_s
+            (_filled("i", 0, threads * n), _P32),  # dist_s
+            (_filled("q", -1, threads * n), _P64),  # visit_t
+            (_filled("i", 0, threads * n), _P32),  # dist_t
+            (_filled("q", -1, threads * self.m), _P64),  # eban
+            (_filled("q", -1, threads * n), _P64),  # vban
+            (_filled("i", 0, threads * 4 * n), _P32),  # frontiers
         )
+        self._mt_scratch_arrays = [buf for buf, _ in slabs]
+        self._p_mt = tuple(_ptr(buf, ptype) for buf, ptype in slabs)
         self._mt_threads = threads
 
     # ------------------------------------------------------------------
@@ -585,16 +577,14 @@ class CKernel:
     def parents(self) -> array:
         """The last :meth:`bfs`'s parents (``-1`` = unreached).
 
-        A compact ``array('i')`` filled by one memcpy: a list would
+        A compact ``array('i')`` copy (one memcpy): a list would
         allocate an int object for every parent id above 256.
         """
-        out = array("i")
-        out.frombytes(self._parent_bytes)
-        return out
+        return self._parent[:]
 
     def distance(self, v: int) -> int:
         """Distance of ``v`` in the last :meth:`bfs` (``-1`` if unreached)."""
-        return int(self._dist[v])
+        return self._dist[v]
 
     # ------------------------------------------------------------------
     # batch point queries
@@ -606,12 +596,11 @@ class CKernel:
     ) -> List[int]:
         """Exact hops for many independent restricted point queries.
 
-        Same signature and conventions as
-        :meth:`repro.core.bulk.BulkCSRKernel.multi_pair_dists` —
         ``(source, target, banned_edge_ids, banned_vertices)`` per
-        query, ``-1`` where the restriction cuts the pair.  The whole
-        batch is one C call; no chunking or scalar tail cutover is
-        needed because the per-query fixed cost is a function call.
+        query, ``-1`` where the restriction cuts the pair — the C
+        execution of :meth:`repro.core.csr.CSRGraph.multi_pair_dists`.
+        The whole batch is one C call: the per-query fixed cost is a
+        function call.
 
         With ``threads > 1`` the batch runs on the threaded C entry
         point (``repro_multi_pair_dists_mt``): interleaved (strided)
@@ -638,24 +627,17 @@ class CKernel:
             vb_ids.extend(verts)
             eb_off.append(len(eb_ids))
             vb_off.append(len(vb_ids))
-        src_arr = np.asarray(q_src, dtype=np.int64)
-        tgt_arr = np.asarray(q_tgt, dtype=np.int64)
-        eb_arr = np.asarray(eb_ids, dtype=np.int64)
-        vb_arr = np.asarray(vb_ids, dtype=np.int64)
-        _check_range(src_arr, self.n, "query source")
-        _check_range(tgt_arr, self.n, "query target")
-        _check_range(eb_arr, self.m, "banned edge id")
-        _check_range(vb_arr, self.n, "banned vertex")
-        batch = (
-            nq,
-            _p32(src_arr.astype(np.int32)),
-            _p32(tgt_arr.astype(np.int32)),
-            _p64(np.asarray(eb_off, dtype=np.int64)),
-            _p32(eb_arr.astype(np.int32)),
-            _p64(np.asarray(vb_off, dtype=np.int64)),
-            _p32(vb_arr.astype(np.int32)),
+        n = self.n
+        bufs = (
+            (_ids(q_src, n, "query source"), _P32),
+            (_ids(q_tgt, n, "query target"), _P32),
+            (array("q", eb_off), _P64),
+            (_ids(eb_ids, self.m, "banned edge id"), _P32),
+            (array("q", vb_off), _P64),
+            (_ids(vb_ids, n, "banned vertex"), _P32),
         )
-        out = np.empty(nq, dtype=np.int32)
+        batch = (nq, *(_ptr(buf, ptype) for buf, ptype in bufs))
+        out = _filled("i", 0, nq)
         gen_base = self._gen
         self._gen = gen_base + nq
         threads = max(1, min(int(threads), nq, MAX_C_THREADS))
@@ -666,56 +648,13 @@ class CKernel:
                 *batch,
                 gen_base,
                 threads,
-                max(self.n, 1),
+                max(n, 1),
                 self.m,
                 *self._p_mt,
-                _p32(out),
+                _ptr(out, _P32),
             )
         else:
             self._lib.repro_multi_pair_dists(
-                *self._p_topo, *batch, gen_base, *self._p_pair, _p32(out)
+                *self._p_topo, *batch, gen_base, *self._p_pair, _ptr(out, _P32)
             )
-        return out.tolist()
-
-    def multi_target_dists(
-        self,
-        source: int,
-        targets: Sequence[int],
-        eids: Sequence[int],
-        verts: Sequence[int],
-    ) -> List[int]:
-        """Exact hops from ``source`` to each target, one shared sweep.
-
-        The C execution of
-        :meth:`repro.core.bulk.BulkCSRKernel.multi_target_dists`: one
-        FIFO BFS with per-target early exit under one restriction
-        (``eids``/``verts`` resolved ids).  ``-1`` where cut.
-        """
-        nt = len(targets)
-        if nt == 0:
-            return []
-        if not 0 <= source < self.n:
-            raise GraphError(f"source {source} outside [0, {self.n})")
-        t_arr = np.asarray(targets, dtype=np.int64)
-        e_arr = np.asarray(eids, dtype=np.int64)
-        v_arr = np.asarray(verts, dtype=np.int64)
-        _check_range(t_arr, self.n, "sweep target")
-        _check_range(e_arr, self.m, "banned edge id")
-        _check_range(v_arr, self.n, "banned vertex")
-        out = np.empty(nt, dtype=np.int32)
-        gen = self._gen + 1
-        self._gen = gen
-        self._lib.repro_multi_target_dists(
-            *self._p_topo,
-            source,
-            nt,
-            _p32(t_arr.astype(np.int32)),
-            len(e_arr),
-            _p32(e_arr.astype(np.int32)),
-            len(v_arr),
-            _p32(v_arr.astype(np.int32)),
-            gen,
-            *self._p_sweep,
-            _p32(out),
-        )
         return out.tolist()

@@ -17,8 +17,8 @@ id of its undirected edge.  Because CPython iterates small tuples faster
 than it indexes ``array`` objects, the kernel additionally materializes
 per-vertex *iteration views* (``rows[u]`` — neighbor tuples — and
 ``arcs[u]`` — ``(neighbor, edge_id)`` tuples) derived from the flat
-arrays; the flat arrays remain the canonical storage and are what
-batch/bulk consumers should read.
+arrays; the flat arrays remain the canonical storage and are what the
+C kernel and the artifact writer read.
 
 **The stamp trick.**  All scratch state is allocated once per snapshot
 and never cleared.  Instead, every buffer entry is paired with a
@@ -64,6 +64,7 @@ in C over the flat arrays — the same FIFO first-discoverer search, so
 results are bit-identical — and the python loops below serve
 ``REPRO_C_KERNEL=off`` and compiler-less hosts.  The scalar
 :meth:`CSRGraph.bidir_distance` always runs in python.
+:func:`kernel_dispatch_stats` reports what ran in C.
 
 The snapshot is cached on the graph (versioned, invalidated by
 mutation) via :func:`csr_of`, so the canonical engine, the distance
@@ -77,18 +78,9 @@ from array import array
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.ckernel import CKernel, c_kernel_mode, load_c_library, plan_c_threads
 from repro.core.errors import GraphError
 from repro.core.graph import Edge, Graph
-
-try:  # The C tier's wrapper needs numpy; the python kernel never does.
-    from repro.core.ckernel import (
-        CKernel,
-        c_kernel_mode,
-        load_c_library,
-        plan_c_threads,
-    )
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    CKernel = None
 
 #: Stamp value meaning "never used"; all generation counters start above it.
 UNREACHED = -1
@@ -146,6 +138,32 @@ def csr_of(graph: Graph) -> "CSRGraph":
     return snapshot
 
 
+def kernel_dispatch_stats(graph: Graph, reset: bool = False):
+    """C dispatch counters of ``graph``'s cached snapshot, or ``None``.
+
+    Returns a copy of the snapshot's ``dispatch_stats`` — how many
+    searches (``searches_c``), full sweeps (``full_sweeps_c``) and
+    multi-pair queries (``pairs_c``, ``pairs_c_mt`` and its per-thread
+    split) ran in C — so auto-dispatch decisions are observable after
+    the fact (``repro bench`` and the E16 benchmark report them per
+    arm).  ``reset`` zeroes the live counters after copying.  ``None``
+    exactly when the snapshot holds no C kernel (the python kernel
+    served everything).
+    """
+    csr = graph._csr_cache
+    if csr is None or csr._ck is None:
+        return None
+    live = csr.dispatch_stats
+    stats = {
+        key: (dict(value) if isinstance(value, dict) else value)
+        for key, value in live.items()
+    }
+    if reset:
+        for key, value in live.items():
+            live[key] = {} if isinstance(value, dict) else 0
+    return stats
+
+
 class CSRGraph:
     """A frozen flat-array snapshot of a graph plus pooled BFS scratch.
 
@@ -172,8 +190,8 @@ class CSRGraph:
         # fresh or adopted snapshot eid_cap == m; on a patched snapshot
         # (DeltaCSRGraph) deleted ids leave holes and appended ids may
         # push past m, so anything sized or strided "per edge id" (the
-        # eban scratch here, the numpy/C ban slabs in bulk/ckernel, the
-        # perturbed weight table) must use eid_cap, not m.
+        # eban scratch here, the C ban slabs in ckernel, the perturbed
+        # weight table) must use eid_cap, not m.
         "eid_cap",
         # Cumulative net churn absorbed since the last fresh flatten
         # (0 on fresh/adopted snapshots); csr_of re-flattens once
@@ -186,15 +204,11 @@ class CSRGraph:
         "edge_index",
         "rows",
         "arcs",
-        # Lazily attached numpy bulk kernel (repro.core.bulk.bulk_of);
-        # lives on the snapshot so it shares its lifetime/invalidation.
-        "_bulk",
-        # C kernel tier (lazy; see c_kernel), shared by the python and
-        # numpy kernels of this snapshot: the kernel, the memoized load
-        # failure, whether the last bfs/bfs_dists ran in C (so readout
-        # knows where the result lives), the raw restriction behind the
-        # live ban stamp (the C side stamps its own tables from it) and
-        # the per-tier dispatch counters.
+        # C kernel tier (lazy; see c_kernel): the kernel, the memoized
+        # load failure, whether the last bfs/bfs_dists ran in C (so
+        # readout knows where the result lives), the raw restriction
+        # behind the live ban stamp (the C side stamps its own tables
+        # from it) and the C dispatch counters.
         "_ck",
         "_ck_failed",
         "_c_out",
@@ -267,8 +281,8 @@ class CSRGraph:
         mmap-backed sections straight back here on load, skipping the
         adjacency walk and edge sort of :meth:`__init__` — the flat
         arrays are adopted as-is (any object indexable like
-        ``array('q')``, e.g. a cast :class:`memoryview`, works; bulk
-        consumers go through the buffer protocol).  The per-vertex
+        ``array('q')``, e.g. a cast :class:`memoryview`, works; the C
+        kernel copies them through the buffer protocol).  The per-vertex
         iteration views and the pooled scratch are always rebuilt
         fresh: they are derived state, not storage.
 
@@ -312,15 +326,13 @@ class CSRGraph:
     def _init_scratch(self) -> None:
         """Allocate the pooled stamped scratch (see module docstring)."""
         n = self.n
-        self._bulk = None
         self._ck = None
         self._ck_failed = False
         self._c_out = False
         self._last_stamp = (0, (), ())
-        #: Which kernel tier served each search and batch entry point
-        #: (auto-dispatch is otherwise invisible); searches, queries and
-        #: sweep targets are counted, not calls.  Read/reset via
-        #: :func:`repro.core.bulk.kernel_dispatch_stats`.
+        #: What the C tier served (auto-dispatch is otherwise
+        #: invisible); searches and queries are counted, not calls.
+        #: Read/reset via :func:`kernel_dispatch_stats`.
         self.dispatch_stats = {
             "searches_c": 0,
             "full_sweeps_c": 0,
@@ -330,10 +342,6 @@ class CSRGraph:
             # strided multi-pair split (observability for the
             # interleaved assignment; sums to pairs_c_mt).
             "pairs_c_mt_threads": {},
-            "pairs_dense": 0,
-            "pairs_cutover": 0,
-            "sweeps_c": 0,
-            "sweeps_numpy": 0,
         }
         self._visit = [UNREACHED] * n
         self._dist = [0] * n
@@ -421,8 +429,6 @@ class CSRGraph:
         resolved once, at the first search — never at import or
         artifact load.
         """
-        if CKernel is None:
-            return None
         mode = c_kernel_mode()
         if mode == "off":
             return None
@@ -462,10 +468,9 @@ class CSRGraph:
 
         Served when :meth:`c_kernel` loads and ``ban`` is the live stamp
         ``stamp`` — ``(ban_gen, edge_ids, vertices)``, the raw
-        restriction the C side re-stamps into its own tables — of the
-        calling kernel (this snapshot's python kernel or its numpy
-        twin).  Counted in ``dispatch_stats``; the result is read back
-        through the :class:`~repro.core.ckernel.CKernel` readout.
+        restriction the C side re-stamps into its own tables.  Counted
+        in ``dispatch_stats``; the result is read back through the
+        :class:`~repro.core.ckernel.CKernel` readout.
         """
         ck = self.c_kernel()
         if ck is None or stamp[0] != ban[0]:
@@ -920,8 +925,8 @@ class DeltaCSRGraph(CSRGraph):
       a delta edge get new ``rows``/``arcs`` tuples; everything else
       aliases the parent's (immutable) tuples.
     * **re-flattens lazily**: the flat ``indptr``/``nbr``/``arc_eid``
-      vectors — needed only by the numpy and C kernels and the
-      artifact writer — are materialized on first attribute access, so
+      vectors — needed only by the C kernel and the artifact writer —
+      are materialized on first attribute access, so
       a pure-python query stream after a delta never pays for them.
     """
 

@@ -160,19 +160,13 @@ def migrate_cache(
     # Point entries are certified through their source's distance
     # vector; capture the parent vec tables *before* migrate() pops
     # the parent's table (the dicts stay alive through these refs).
-    vec_tables = {
-        "pt:" + tail: cache.namespace(parent, "vec:" + tail)
-        for tail in ("csr", "bulk")
-    }
+    vec_tables = {"pt:csr": cache.namespace(parent, "vec:csr")}
     # Distance-only vectors failing the layering certificate get a
     # second chance through the *parent-carrying* search entry of the
     # same key: a surviving complete search proves every distance
     # unchanged (a deleted non-tree arc never discovers anyone), which
     # distances alone cannot certify when ``|du - dv| == 1``.
-    search_tables = {
-        "vec:" + tail: cache.namespace(parent, "search:lex-" + tail)
-        for tail in ("csr", "bulk")
-    }
+    search_tables = {"vec:csr": cache.namespace(parent, "search:lex-csr")}
     state = {"budget": DELTA_RECHECK, "ban_key": None, "ban": None}
 
     def strip(ekey: Sequence[int]) -> Tuple[int, ...]:

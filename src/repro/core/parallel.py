@@ -13,7 +13,7 @@ reassembles the outputs deterministically:
 * **Items, not state, cross the pool boundary.**  Workers receive the
   graph as ``(n, sorted edge list)`` and rebuild it locally — a
   :class:`~repro.core.graph.Graph` is never pickled (its CSR cache
-  holds numpy views and a ``ctypes`` library handle), and the rebuild
+  holds a ``ctypes`` library handle), and the rebuild
   guarantees every worker owns a *private* process-wide snapshot cache
   and kernel scratch, so workers never contend or share memoization
   state.
@@ -242,14 +242,11 @@ def worker_counters_end(graph=None) -> Dict[str, dict]:
 
     out: Dict[str, dict] = {"snapshot_cache": shared_cache().stats()}
     if graph is not None:
-        try:
-            from repro.core.bulk import kernel_dispatch_stats
-        except ImportError:
-            kernel_dispatch_stats = None
-        if kernel_dispatch_stats is not None:
-            dispatch = kernel_dispatch_stats(graph, reset=True)
-            if dispatch:
-                out["kernel_dispatch"] = dispatch
+        from repro.core.csr import kernel_dispatch_stats
+
+        dispatch = kernel_dispatch_stats(graph, reset=True)
+        if dispatch:
+            out["kernel_dispatch"] = dispatch
     return out
 
 

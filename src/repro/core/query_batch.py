@@ -36,21 +36,13 @@ applicable strategy:
   per-source context (one full BFS) and per-fault regions are cached,
   so on the Cons2FTBFS workload most probes cost a few dozen list
   operations;
-* **shared sweeps** — a group with many pending targets from one
-  source runs one level-synchronous sweep with per-pair early exit
-  (:meth:`~repro.core.bulk.BulkCSRKernel.multi_target_dists`), one ban
-  stamping for the whole group;
-* **cross-query multi-pair kernel** — the residue of
-  distinct-fault-set pairs goes to the snapshot's C kernel in one call
-  (:meth:`repro.core.csr.CSRGraph.multi_pair_dists`) whenever it
-  loads, whatever the oracle family; without C, the numpy kernel
-  (:meth:`~repro.core.bulk.BulkCSRKernel.multi_pair_dists`) advances
-  it in lock-step as flat batches over per-(query, side) label tables,
-  with a scalar tail cutover once only stragglers remain;
+* **cross-query multi-pair kernel** — every pair the repair leaves
+  goes to the snapshot's C kernel in one call
+  (:meth:`repro.core.csr.CSRGraph.multi_pair_dists`) whenever it loads
+  and at least :data:`PAIR_MIN_C` pairs remain;
 * **pooled scalar fallback**
-  (:meth:`repro.core.csr.CSRGraph.bidir_distances`) — small residues,
-  the python-kernel oracle without C and numpy-less installs, still
-  one ban stamping per restriction.
+  (:meth:`repro.core.csr.CSRGraph.bidir_distances`) — small residues
+  and hosts without the C kernel, one ban stamping per restriction.
 
 Every strategy computes exact hop distances, so results are
 bit-identical to per-pair
@@ -60,8 +52,8 @@ written back to the snapshot cache under the owning oracle's point
 namespace, so scalar and batched queries share one memo.
 
 Entry points: :meth:`repro.core.canonical.DistanceOracle.batch` /
-:meth:`~repro.core.canonical.DistanceOracle.distances_bulk` (and the
-bulk-oracle overrides), :meth:`repro.replacement.base.SourceContext.query_batch`,
+:meth:`~repro.core.canonical.DistanceOracle.distances_bulk`,
+:meth:`repro.replacement.base.SourceContext.query_batch`,
 and :meth:`repro.ftbfs.oracle.FTQueryOracle.distances_bulk`.  The
 legacy :class:`~repro.core.canonical.PythonDistanceOracle` and the
 weighted oracles answer the same planner API through
@@ -75,8 +67,10 @@ the loop runs, so those probes are issued one at a time as scalar
 queries in the paper's order.
 
 Strategy thresholds are the module constants below
-(:data:`SWEEP_MIN_TARGETS`, :data:`PAIR_MIN` / :data:`PAIR_MIN_C`,
-:data:`REPAIR_MAX_REGION`), read at execution time.
+(:data:`PAIR_MIN_C`, :data:`REPAIR_MAX_REGION`), read at execution
+time.  A planned probe whose source lies outside ``[0, n)`` raises
+:class:`~repro.core.errors.GraphError`; an out-of-range target is
+never found (``-1``), as in the scalar oracle.
 
 Environment knob:
 
@@ -91,25 +85,14 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.errors import GraphError
+
 UNREACHED = -1
 INF = float("inf")
 
-#: Minimum pending targets per (fault set, source) sub-group before a
-#: shared sweep is preferred over the pair kernel.  A shared early-exit
-#: sweep costs a few hundred microseconds of per-level array dispatch,
-#: so it needs a sizable target group before it beats handing the
-#: pairs to the cross-query multi-pair kernel (~15 µs/pair); large
-#: groups arise for deep trees and multi-source workloads, small ones
-#: go to the pair kernel.
-SWEEP_MIN_TARGETS = 16
-#: Minimum residual pair count before the cross-query multi-pair kernel
-#: beats scalar bidirectional queries (per-chunk numpy fixed costs
-#: dominate below it).
-PAIR_MIN = 24
-#: The same threshold when the C kernel tier serves the multi-pair
-#: entry point: its per-batch fixed cost is one library call plus a
-#: small marshalling loop, so even tiny residues beat the pooled
-#: python scalar loop.
+#: Minimum residual pair count before one C multi-pair call beats the
+#: pooled python scalar loop: its per-batch fixed cost is one library
+#: call plus a small marshalling loop, so even tiny residues win.
 PAIR_MIN_C = 4
 #: Largest affected region the tree-repair fast path will handle before
 #: deferring to the traversal kernels.  Crossover vs the multi-pair
@@ -431,7 +414,6 @@ class PointQueryBatch:
             "unique": 0,
             "cached": 0,
             "repaired": 0,
-            "swept": 0,
             "paired": 0,
         }
 
@@ -442,9 +424,8 @@ class PointQueryBatch:
     def stats(self) -> Dict[str, int]:
         """Cumulative planner counters: ``queries`` planned, ``unique``
         after dedupe, ``cached`` answered from the snapshot cache,
-        ``repaired`` answered by the tree-repair fast path, ``swept``
-        answered by vectorized shared sweeps, ``paired`` answered by
-        the cross-query multi-pair kernel."""
+        ``repaired`` answered by the tree-repair fast path, ``paired``
+        answered by the cross-query C multi-pair kernel."""
         return dict(self._stats)
 
     def add(
@@ -467,10 +448,10 @@ class PointQueryBatch:
 
         Dedupes requests against each other and the snapshot cache,
         groups the misses by frozen restriction, and executes each
-        group in one shot (one ban stamping; vectorized shared sweeps
-        where the numpy kernel and group shape allow).  Handles from
-        :meth:`add` are filled in place; the batch is then empty and
-        reusable.
+        group in one shot (one ban stamping per restriction).  Handles
+        from :meth:`add` are filled in place; the batch is then empty
+        and reusable.  Raises :class:`~repro.core.errors.GraphError`
+        for a probe whose source lies outside ``[0, n)``.
         """
         requests, self._requests = self._requests, []
         if not requests:
@@ -481,7 +462,6 @@ class PointQueryBatch:
         limit = oracle._cache_size
         n = csr.n
         st = self._stats
-        st["queries"] += len(requests)
 
         # -- dedupe + memo probe, one pass ----------------------------
         # Restriction freezing is inlined for the dominant shapes (one
@@ -537,6 +517,8 @@ class PointQueryBatch:
                 if hit is not None:
                     results.append(hit)
                     cache_hits += 1
+                elif not 0 <= source < n:
+                    raise GraphError(f"source {source} outside [0, {n})")
                 elif not (0 <= target < n):
                     # match DistanceOracle.distance's "never found"
                     results.append(UNREACHED)
@@ -545,6 +527,7 @@ class PointQueryBatch:
                     results.append(None)
                     misses.append(slot)
             slots.append(slot)
+        st["queries"] += len(requests)
         st["unique"] += len(unique)
         st["cached"] += cache_hits
         cache.add_stats(hits=cache_hits, misses=len(unique) - cache_hits)
@@ -559,7 +542,7 @@ class PointQueryBatch:
         for slot in pending:
             source, _t, ekey, vkey, _k = unique[slot]
             by_restriction.setdefault((source, ekey, vkey), []).append(slot)
-            if not vkey and 0 <= source < n:
+            if not vkey:
                 eligible[source] = eligible.get(source, 0) + 1
 
         # -- tree-repair fast path: an edge-only restriction collapses
@@ -572,7 +555,7 @@ class PointQueryBatch:
         repair_ns = "repair:" + oracle._PT_NS
         for (source, ekey, vkey), group_slots in by_restriction.items():
             answers = None
-            if not vkey and 0 <= source < n:
+            if not vkey:
                 repair = repairs.get(source)
                 if repair is None and source not in repairs:
                     repair = cache.get(csr, repair_ns, source)
@@ -598,42 +581,21 @@ class PointQueryBatch:
             else:
                 groups.setdefault((ekey, vkey), []).extend(group_slots)
 
-        # -- grouped execution (one stamping per frozen fault set) ----
-        kernel = oracle._sweep_kernel(csr)
-        vectorized = getattr(kernel, "vectorized", False)
-        residual: List[int] = []
-        for (ekey, vkey), group_slots in groups.items():
-            if len(group_slots) < SWEEP_MIN_TARGETS:
-                residual.extend(group_slots)  # too small for any sweep
-                continue
-            residual.extend(
-                self._execute_group_sweeps(
-                    csr, kernel, vectorized, ekey, vkey, group_slots, unique, results
-                )
-            )
-
-        # -- residual: distinct-restriction pairs with nothing left to
-        # share — one C call, or the numpy kernel's lock-step waves;
-        # small residues (or the python-kernel oracle without C) loop
-        # the pooled scalar query, one stamping per restriction.
+        # -- residual: every pair the repair left.  One C call answers
+        # them all; small residues (or no C kernel) loop the pooled
+        # scalar query, one stamping per frozen restriction.
+        residual = [slot for group_slots in groups.values() for slot in group_slots]
         if residual:
-            c_active = csr.c_active
-            if (c_active or vectorized) and len(residual) >= (
-                PAIR_MIN_C if c_active else PAIR_MIN
-            ):
+            if csr.c_active and len(residual) >= PAIR_MIN_C:
                 queries = [
                     (unique[slot][0], unique[slot][1], unique[slot][2], unique[slot][3])
                     for slot in residual
                 ]
-                for slot, d in zip(residual, kernel.multi_pair_dists(queries)):
+                for slot, d in zip(residual, csr.multi_pair_dists(queries)):
                     results[slot] = d
                 st["paired"] += len(residual)
             else:
-                regroup: Dict[Tuple, List[int]] = {}
-                for slot in residual:
-                    _s, _t, ekey, vkey, _key = unique[slot]
-                    regroup.setdefault((ekey, vkey), []).append(slot)
-                for (ekey, vkey), group_slots in regroup.items():
+                for (ekey, vkey), group_slots in groups.items():
                     ban = csr.stamp_edge_ids(list(ekey), list(vkey))
                     pairs = [
                         (unique[slot][0], unique[slot][1]) for slot in group_slots
@@ -654,37 +616,6 @@ class PointQueryBatch:
             out.append(handle.hops)
         self._executed += len(requests)
         return out
-
-    # ------------------------------------------------------------------
-    def _execute_group_sweeps(
-        self, csr, kernel, vectorized, ekey, vkey, group_slots, unique, results
-    ) -> List[int]:
-        """Run one frozen-restriction group's shared sweeps.
-
-        Sub-groups the pairs by source and answers every source with
-        enough pending targets via one early-exit shared sweep (one ban
-        stamping for the whole group).  Returns the slots it did *not*
-        answer — the residue handed to the multi-pair kernel.
-        """
-        if not (vectorized and hasattr(kernel, "multi_target_dists")):
-            return group_slots
-        by_source: Dict[int, List[int]] = {}
-        for slot in group_slots:
-            by_source.setdefault(unique[slot][0], []).append(slot)
-        residual: List[int] = []
-        ban = None
-        for source, source_slots in by_source.items():
-            if len(source_slots) < SWEEP_MIN_TARGETS:
-                residual.extend(source_slots)
-                continue
-            if ban is None:  # one stamping serves every sweep
-                ban = kernel.stamp_edge_ids(list(ekey), list(vkey))
-            targets = [unique[slot][1] for slot in source_slots]
-            dists = kernel.multi_target_dists(source, targets, ban)
-            for slot, d in zip(source_slots, dists):
-                results[slot] = d
-            self._stats["swept"] += len(source_slots)
-        return residual
 
 
 class LegacyQueryBatch:

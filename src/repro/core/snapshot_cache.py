@@ -19,8 +19,8 @@ into one shared :class:`SnapshotCache`:
   engine refreshes.
 
 * **Sharing.**  :class:`~repro.core.canonical.DistanceOracle`,
-  :class:`~repro.core.canonical.CSRLexShortestPaths` and the bulk
-  variants all consult :func:`shared_cache` by default, so the repeated
+  :class:`~repro.core.canonical.CSRLexShortestPaths` both consult
+  :func:`shared_cache` by default, so the repeated
   feasibility checks that dominate ``Cons2FTBFS`` are answered once per
   process, not once per builder.  Results stored here are immutable by
   contract (vector entries are copied out on read).

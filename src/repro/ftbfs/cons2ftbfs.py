@@ -31,7 +31,7 @@ collection, so the builder now runs in three phases: *plan* (step 1
 per target, enumerating every step-2/3 fault pair and registering its
 feasibility probe with a :class:`~repro.core.query_batch.PointQueryBatch`),
 *execute* (one batched resolution — deduplicated, grouped by frozen
-fault set, vectorized multi-pair sweeps under the bulk kernel; a pair
+fault set, the residue answered by one C multi-pair call; a pair
 of π-edges is shared by every target below it, so whole subtrees of
 probes collapse into one group), then *finish* (the paper's sequential
 per-vertex selection logic, consuming the precomputed distances).  The

@@ -29,13 +29,11 @@ class FTQueryOracle:
         Any :class:`~repro.ftbfs.structures.FTStructure`.
     engine:
         Canonical engine for route extraction: an instance, a
-        registered name (``"lex-csr"``, ``"lex-bulk"``, ``"lex"``,
-        ``"perturbed"``), or ``None`` for the default CSR-backed
-        engine.  The distance oracle follows the engine's declared
-        family, so queries run on the pooled flat-array kernel by
-        default (or the vectorized numpy bulk kernel under
-        ``lex-bulk``), and repeated queries are memoized in the
-        process-wide snapshot cache.
+        registered name (``"lex-csr"``, ``"lex"``, ``"perturbed"``),
+        or ``None`` for the default CSR-backed engine.  The distance
+        oracle follows the engine's declared family, so queries run on
+        the pooled flat-array kernel by default, and repeated queries
+        are memoized in the process-wide snapshot cache.
     subgraph:
         A pre-materialized ``H`` to query instead of calling
         ``structure.subgraph()``.  The serving layer
@@ -189,8 +187,8 @@ class FTQueryOracle:
 
         The batch-first sibling of :meth:`distance` for serving-side
         workloads: one fault-set normalization and ban stamping for the
-        whole group, answers shared with the scalar path's memo, and a
-        vectorized multi-target sweep under the ``lex-bulk`` engine.
+        whole group, answers shared with the scalar path's memo, and
+        one C multi-pair call for the pairs the tree repair leaves.
         Values align with ``targets`` (``inf`` where ``F`` cuts the
         pair) and are element-for-element identical to per-target
         :meth:`distance` calls.

@@ -175,7 +175,7 @@ class DualFaultDistanceOracle:
 
         Two-fault queries are planned against ``H``'s distance oracle
         and resolved in one batched execution — deduplicated, grouped
-        by frozen fault set, vectorized where the numpy kernel applies
+        by frozen fault set, in one C call where the C kernel loads
         (:mod:`repro.core.query_batch`) — while 0/1-fault queries keep
         the O(1) table fast path.  Values are element-for-element
         identical to per-query :meth:`distance` calls.

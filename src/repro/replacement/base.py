@@ -11,10 +11,9 @@ Engine/oracle pairing: the context instantiates the oracle family the
 engine declares (``engine.oracle_class``), so the default CSR engine
 runs on the pooled flat-array kernel of :mod:`repro.core.csr` (engine,
 oracle and tree share one snapshot and scratch pool via the graph's
-CSR cache), the ``lex-bulk`` engine runs searches and sweeps on the
-vectorized numpy kernel of :mod:`repro.core.bulk`, and the legacy
-``lex`` engine reproduces the pre-kernel system end to end for
-reference benchmarking.
+CSR cache; its searches run in the C kernel whenever it loads), and
+the legacy ``lex`` engine reproduces the pre-kernel system end to end
+for reference benchmarking.
 
 The CSR-backed oracles and engines memoize through the process-wide
 :mod:`repro.core.snapshot_cache`, keyed on the graph's CSR snapshot and
@@ -192,7 +191,7 @@ class SourceContext:
         many fault sets, execute once, read the handles.  Every oracle
         family answers the same planner surface, so ``--engine lex``
         runs converted consumers scalar while the kernel engines
-        dedupe, group by fault set and vectorize.
+        dedupe, group by fault set and batch the residue into C.
         """
         return self.oracle.batch()
 

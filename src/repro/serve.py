@@ -18,8 +18,8 @@ over a local socket for as long as it lives.  The moving parts:
   :class:`~repro.ftbfs.oracle.FTQueryOracle` — ``batch`` requests ride
   the :class:`~repro.core.query_batch.PointQueryBatch` planner, so a
   served batch gets the same plan→dedupe→group pipeline and kernel
-  ladder (numpy multi-pair tables, C threads under ``lex-bulk``) as an
-  in-process caller.  The accept loop is threaded (one thread per
+  ladder (one C multi-pair call, threaded under ``REPRO_C_THREADS``)
+  as an in-process caller.  The accept loop is threaded (one thread per
   connection), but query execution itself is serialized behind one
   lock: the CSR kernel's pooled scratch is deliberately per-snapshot,
   not per-thread, and the C tier parallelizes *inside* a batch where

@@ -16,7 +16,7 @@ from __future__ import annotations
 import pathlib
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.canonical import ENGINES, UNREACHABLE
+from repro.core.canonical import UNREACHABLE
 from repro.core.scenario import (
     assert_identical_reports,
     load_blueprint,
@@ -33,8 +33,8 @@ CORPUS_DIR = (
 #: Execution modes every corpus scenario is replayed in.
 MODES = ("fresh", "delta")
 
-#: The engine ladder the differential contract covers (when registered).
-LEX_ENGINES = ("lex", "lex-csr", "lex-bulk")
+#: The engine ladder the differential contract covers.
+LEX_ENGINES = ("lex", "lex-csr")
 
 #: The weighted engine family (see ``docs/weighted.md``): replayed as
 #: its own differential group — weighted report bodies are only
@@ -45,16 +45,6 @@ WEIGHTED_ENGINES = ("wlex", "wlex-csr")
 def corpus_blueprints() -> List[pathlib.Path]:
     """Every blueprint JSON of the checked-in mini-corpus, sorted."""
     return sorted(CORPUS_DIR.glob("*.json"))
-
-
-def available_engines(wanted: Sequence[str] = LEX_ENGINES) -> List[str]:
-    """The subset of ``wanted`` engines registered on this host.
-
-    ``lex-bulk`` needs numpy; a host without it still runs the
-    differential over the remaining ladder.  Its batches run in C
-    wherever the C kernel loads.
-    """
-    return [engine for engine in wanted if engine in ENGINES]
 
 
 def check_sentinels(report: dict) -> None:
@@ -93,7 +83,7 @@ def replay_blueprint(
     """
     blueprint = load_blueprint(path)
     if engines is None:
-        engines = available_engines()
+        engines = LEX_ENGINES
     assert engines, f"no canonical engine available to replay {path}"
     reports: List[dict] = []
     labels: List[str] = []

@@ -14,7 +14,6 @@ from repro.core.artifact import (
     load_or_build,
     save_artifact,
 )
-from repro.core.canonical import ENGINES
 from repro.core.csr import csr_of
 from repro.core.errors import GraphError
 from repro.core.snapshot_cache import shared_cache
@@ -24,13 +23,6 @@ from repro.generators import erdos_renyi
 
 def sample_structure(n=24, p=0.18, seed=6):
     return build_cons2ftbfs(erdos_renyi(n, p, seed=seed), 0)
-
-
-def engine_or_skip(name):
-    """Skip the test unless the engine is registered (lex-bulk needs numpy)."""
-    if name not in ENGINES:
-        pytest.skip(f"engine {name!r} unavailable on this host")
-    return name
 
 
 def sample_faults(structure, k=2):
@@ -77,9 +69,8 @@ class TestRoundTrip:
             assert list(adopted.arc_eid) == list(rebuilt.arc_eid)
             assert adopted.edge_index == rebuilt.edge_index
 
-    @pytest.mark.parametrize("engine", ["lex", "lex-csr", "lex-bulk"])
+    @pytest.mark.parametrize("engine", ["lex", "lex-csr"])
     def test_oracle_identical_to_inprocess(self, tmp_path, engine):
-        engine_or_skip(engine)
         s = sample_structure()
         fresh = FTQueryOracle(s, engine=engine)
         path = save_artifact(s, tmp_path / "h.bin")

@@ -16,13 +16,17 @@ from repro.core.canonical import (
     DistanceOracle,
     LexShortestPaths,
     PerturbedShortestPaths,
+    PythonDistanceOracle,
     bfs_distance,
     bfs_distances,
     eccentricity,
     make_engine,
+    multi_source_distances,
 )
+from repro.core.ckernel import c_kernel_available
 from repro.core.errors import DisconnectedError, GraphError
 from repro.core.graph import Graph
+from repro.core.snapshot_cache import shared_cache
 from repro.generators import erdos_renyi, grid_graph, path_graph
 
 from tests.zoo import zoo_params
@@ -180,6 +184,43 @@ class TestRestrictions:
         engine = PerturbedShortestPaths(diamond, seed=1)
         res = engine.search(0, banned_edges=[(0, 1), (0, 2)])
         assert res.dist(3) == 3
+
+
+@pytest.mark.parametrize("mode", ["on", "off"])
+@pytest.mark.parametrize(
+    "family", [DistanceOracle, PythonDistanceOracle], ids=["csr", "python"]
+)
+def test_sources_outside_range_rejected(family, mode, monkeypatch):
+    """A source outside ``[0, n)`` raises GraphError in both hop-oracle
+    families (planned batch probes included) and in the one-shot
+    helpers, on either kernel tier: -1 must not alias vertex n-1, and n
+    must not surface as a bare IndexError.  An out-of-range *target*
+    keeps its "never found" answer."""
+    if mode == "on" and not c_kernel_available():
+        pytest.skip("compiled C kernel unavailable")
+    monkeypatch.setenv("REPRO_C_KERNEL", mode)
+    shared_cache().clear()
+    g = path_graph(6)
+    oracle = family(g)
+    for source in (-1, 6, 9):
+        for call, args in (
+            (oracle.distance, (source, 0)),
+            (oracle.distances_from, (source,)),
+            (oracle.distances_bulk, ([(source, 0)],)),
+            (bfs_distances, (g, source)),
+            (bfs_distance, (g, source, 0)),
+            (multi_source_distances, (g, [source])),
+        ):
+            with pytest.raises(GraphError):
+                call(*args)
+        batch = oracle.batch()
+        batch.add(source, 0, ((2, 3),))
+        with pytest.raises(GraphError):
+            batch.execute()
+    for target in (-1, 6, 9):
+        assert oracle.distance(0, target) == INF
+        assert bfs_distance(g, 0, target) == INF
+    assert oracle.distances_from(5) == [5, 4, 3, 2, 1, 0]
 
 
 class TestPerturbedWeights:

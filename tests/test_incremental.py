@@ -32,8 +32,8 @@ needs_c = pytest.mark.skipif(
     not c_kernel_available(), reason="compiled C kernel unavailable"
 )
 
-#: Every canonical engine arm this host can run, kernel ladder order.
-ENGINE_ARMS = [e for e in ("lex", "lex-csr", "lex-bulk") if e in ENGINES]
+#: Every canonical hop engine arm, kernel ladder order.
+ENGINE_ARMS = ["lex", "lex-csr"]
 
 #: 0-1-3 / 0-2-3 square: tree parents from 0 are {1: 0, 2: 0, 3: 1},
 #: so (2, 3) is a non-tree arc with the uncertifiable-from-distances
@@ -485,15 +485,14 @@ def test_strided_mt_per_thread_counts(monkeypatch):
     per thread, summing to the mt pair total — without changing any
     answer (bit-identity vs serial is test_parallel's job; the counts
     are this PR's)."""
-    from repro.core.bulk import kernel_dispatch_stats
+    from repro.core.csr import kernel_dispatch_stats
 
-    monkeypatch.setenv("REPRO_BULK_MIN_N", "1")
     monkeypatch.setenv("REPRO_C_THREADS", "3")
     monkeypatch.setenv("REPRO_C_MT_MIN", "1")
     g = erdos_renyi(80, 0.07, seed=21)
     shared_cache().clear()
     kernel_dispatch_stats(g, reset=True)
-    build_cons2ftbfs(g, 0, engine="lex-bulk")
+    build_cons2ftbfs(g, 0, engine="lex-csr")
     stats = kernel_dispatch_stats(g)
     assert stats is not None and stats["pairs_c_mt"] > 0
     per = stats["pairs_c_mt_threads"]

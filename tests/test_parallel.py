@@ -17,7 +17,6 @@ import os
 import pytest
 
 from repro.core import parallel
-from repro.core.canonical import ENGINES
 from repro.core.ckernel import c_kernel_available
 from repro.core.snapshot_cache import shared_cache
 from repro.ftbfs.cons2ftbfs import build_cons2ftbfs
@@ -30,8 +29,8 @@ needs_c = pytest.mark.skipif(
     not c_kernel_available(), reason="compiled C kernel unavailable"
 )
 
-#: Every canonical engine arm this host can run, kernel ladder order.
-ENGINE_ARMS = [e for e in ("lex", "lex-csr", "lex-bulk") if e in ENGINES]
+#: Every canonical hop engine arm, kernel ladder order.
+ENGINE_ARMS = ["lex", "lex-csr"]
 
 
 # ----------------------------------------------------------------------
@@ -194,21 +193,17 @@ def test_stretch_profile_parallel_bit_identity():
 @needs_c
 def test_threaded_c_kernel_bit_identity(monkeypatch):
     """REPRO_C_THREADS>1 must be invisible in results, visible in stats."""
-    from repro.core.bulk import kernel_dispatch_stats
+    from repro.core.csr import kernel_dispatch_stats
 
-    # n=120 sits under the bulk kernel's default n-floor; lower it so
-    # the batched pipeline (and with it the C multi-pair path) engages
-    # before any kernel is cached for this graph.
-    monkeypatch.setenv("REPRO_BULK_MIN_N", "1")
     g = erdos_renyi(120, 0.05, seed=17)
     monkeypatch.setenv("REPRO_C_THREADS", "1")
     shared_cache().clear()
-    serial = build_cons2ftbfs(g, 0, engine="lex-bulk")
+    serial = build_cons2ftbfs(g, 0, engine="lex-csr")
     monkeypatch.setenv("REPRO_C_THREADS", "4")
     monkeypatch.setenv("REPRO_C_MT_MIN", "1")
     shared_cache().clear()
     kernel_dispatch_stats(g, reset=True)
-    threaded = build_cons2ftbfs(g, 0, engine="lex-bulk")
+    threaded = build_cons2ftbfs(g, 0, engine="lex-csr")
     assert threaded.edges == serial.edges
     assert threaded.stats == serial.stats
     stats = kernel_dispatch_stats(g)
@@ -242,10 +237,10 @@ def test_pool_plus_threads_bit_identity(monkeypatch):
     g = erdos_renyi(40, 0.12, seed=21)
     sources = [0, 4, 8]
     serial = build_ft_mbfs(
-        g, sources, 2, builder=build_cons2ftbfs, jobs=1, engine="lex-bulk"
+        g, sources, 2, builder=build_cons2ftbfs, jobs=1, engine="lex-csr"
     )
     sharded = build_ft_mbfs(
-        g, sources, 2, builder=build_cons2ftbfs, jobs=2, engine="lex-bulk"
+        g, sources, 2, builder=build_cons2ftbfs, jobs=2, engine="lex-csr"
     )
     assert sharded.edges == serial.edges
     assert sharded.stats == serial.stats

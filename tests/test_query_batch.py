@@ -2,9 +2,9 @@
 
 ``PointQueryBatch`` must be *bit-identical* to per-pair scalar point
 queries — same raw hops, same ``inf`` convention — across every oracle
-family (legacy python, CSR, forced-vectorized bulk), every executor
-strategy (snapshot-cache hits, tree-repair, shared sweeps, cross-query
-multi-pair kernel, pooled scalar fallback), and the fault-set grouping
+family (legacy python, CSR), every executor strategy (snapshot-cache
+hits, tree-repair, cross-query C multi-pair kernel, pooled scalar
+fallback), and the fault-set grouping
 edge cases: empty batches, duplicate pairs, shared and disjoint fault
 sets, vertex bans, disconnected and out-of-range targets.  The
 converted builders must produce byte-identical structures with
@@ -17,15 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ckernel, query_batch
-from repro.core.bulk import BulkCSRKernel, kernel_dispatch_stats
-from repro.core.canonical import (
-    INF,
-    BulkDistanceOracle,
-    DistanceOracle,
-    PythonDistanceOracle,
-)
+from repro.core.canonical import INF, DistanceOracle, PythonDistanceOracle
 from repro.core.ckernel import c_kernel_available
-from repro.core.csr import csr_of
+from repro.core.csr import csr_of, kernel_dispatch_stats
 from repro.core.query_batch import (
     LegacyQueryBatch,
     QueryHandle,
@@ -48,20 +42,12 @@ needs_ckernel = pytest.mark.skipif(
 )
 
 
-def forced_bulk_oracle(graph):
-    """A bulk oracle whose kernel always takes the vectorized path."""
-    csr = csr_of(graph)
-    csr._bulk = BulkCSRKernel(csr, min_bulk_n=0)
-    return BulkDistanceOracle(graph)
-
-
 def oracle_families(graph):
-    """One oracle per family; the bulk family's batches run in C
+    """One oracle per family; the CSR family's batches run in C
     wherever the C kernel loads (``REPRO_C_KERNEL=auto``)."""
     return [
         ("python", PythonDistanceOracle(graph)),
         ("csr", DistanceOracle(graph)),
-        ("bulk", forced_bulk_oracle(graph)),
     ]
 
 
@@ -81,7 +67,7 @@ def random_requests(graph, rng, count, max_edges=3, max_vertices=2):
 
 @zoo_params()
 def test_batch_matches_scalar_across_families(name, graph):
-    """Batch answers == per-pair scalar answers, all three families."""
+    """Batch answers == per-pair scalar answers, every family."""
     reference = PythonDistanceOracle(graph)
     rng = random.Random(hash(name) & 0xFFFF)
     requests = random_requests(graph, rng, 40)
@@ -190,9 +176,9 @@ def test_batch_results_enter_the_shared_point_memo():
 
 
 def test_grouping_stats_cover_every_strategy():
-    """Grouped / repaired / paired counters add up to the unique misses."""
+    """Cached / repaired / paired counters add up to the unique misses."""
     g = erdos_renyi(80, 0.06, seed=13)
-    oracle = forced_bulk_oracle(g)
+    oracle = DistanceOracle(g)
     rng = random.Random(99)
     edges = sorted(g.edges())
     batch = oracle.batch()
@@ -206,8 +192,8 @@ def test_grouping_stats_cover_every_strategy():
     batch.execute()
     st = batch.stats
     assert st["queries"] == n_added
-    assert st["cached"] + st["repaired"] + st["swept"] + st["paired"] <= st["unique"]
-    answered = st["cached"] + st["repaired"] + st["swept"] + st["paired"]
+    assert st["cached"] + st["repaired"] + st["paired"] <= st["unique"]
+    answered = st["cached"] + st["repaired"] + st["paired"]
     # everything not counted above ran the pooled scalar fallback; spot
     # check correctness of a sample against the scalar oracle either way
     assert answered >= 0
@@ -226,11 +212,11 @@ def test_grouping_stats_cover_every_strategy():
     p=st.floats(min_value=0.1, max_value=0.6),
     seed=st.integers(min_value=0, max_value=999),
 )
-def test_forced_vectorized_batches_match_scalar(n, p, seed):
-    """Hypothesis sweep: forced-vectorized batch == legacy per-pair."""
+def test_batches_match_scalar_property(n, p, seed):
+    """Hypothesis sweep: CSR-oracle batch == legacy per-pair."""
     g = erdos_renyi(n, p, seed=seed)
     reference = PythonDistanceOracle(g)
-    oracle = forced_bulk_oracle(g)
+    oracle = DistanceOracle(g)
     rng = random.Random(seed)
     requests = random_requests(g, rng, 25)
     batch = oracle.batch()
@@ -239,111 +225,6 @@ def test_forced_vectorized_batches_match_scalar(n, p, seed):
     batch.execute()
     for req, handle in zip(requests, handles):
         assert handle.distance == reference.distance(*req)
-
-
-def test_multi_target_dists_matches_bidir(monkeypatch):
-    # C off: this test exercises the *numpy* shared-sweep path, which
-    # auto-dispatch would otherwise route to the C kernel.
-    monkeypatch.setenv("REPRO_C_KERNEL", "off")
-    g = erdos_renyi(40, 0.12, seed=21)
-    csr = csr_of(g)
-    kernel = BulkCSRKernel(csr, min_bulk_n=0)
-    edges = sorted(g.edges())
-    rng = random.Random(7)
-    for trial in range(10):
-        eids = csr.resolve_edge_ids(rng.sample(edges, k=rng.randrange(0, 4)))
-        targets = rng.sample(range(g.n), k=12)
-        ban = kernel.stamp_edge_ids(eids, [])
-        got = kernel.multi_target_dists(0, targets, ban)
-        for t, d in zip(targets, got):
-            ban2 = csr.stamp_edge_ids(eids, [])
-            assert d == csr.bidir_distance(0, t, ban2)
-
-
-@pytest.mark.parametrize("seed", [5, 6])
-def test_multi_pair_kernel_matches_bidir(seed, monkeypatch):
-    """The numpy multi-pair kernel is exact under every ban shape."""
-    # C off: the kernel under test is the numpy path.
-    monkeypatch.setenv("REPRO_C_KERNEL", "off")
-    for g in (
-        path_graph(40),
-        erdos_renyi(60, 0.08, seed=2),
-        tree_plus_chords(90, 35, seed=4),
-    ):
-        csr = csr_of(g)
-        kernel = BulkCSRKernel(csr, min_bulk_n=0)
-        edges = sorted(g.edges())
-        rng = random.Random(seed)
-        queries = []
-        for _ in range(90):
-            s = rng.randrange(g.n)
-            t = rng.randrange(g.n)
-            eids = sorted(
-                csr.resolve_edge_ids(rng.sample(edges, k=rng.randrange(0, 4)))
-            )
-            verts = sorted(rng.sample(range(g.n), k=rng.randrange(0, 2)))
-            queries.append((s, t, eids, verts))
-        got = kernel.multi_pair_dists(queries)
-        for (s, t, eids, verts), d in zip(queries, got):
-            ban = csr.stamp_edge_ids(eids, verts)
-            assert d == csr.bidir_distance(s, t, ban), (seed, g.n)
-
-
-def test_multi_pair_dists_matches_bidir_including_cutover(monkeypatch):
-    # path graphs force long distances, exercising the lock-step tail
-    # cutover to the scalar kernel (a numpy-path mechanism: C off)
-    monkeypatch.setenv("REPRO_C_KERNEL", "off")
-    for g in (path_graph(40), erdos_renyi(60, 0.08, seed=2)):
-        csr = csr_of(g)
-        kernel = BulkCSRKernel(csr, min_bulk_n=0)
-        edges = sorted(g.edges())
-        rng = random.Random(g.n)
-        queries = []
-        for _ in range(70):
-            s = rng.randrange(g.n)
-            t = rng.randrange(g.n)
-            eids = sorted(
-                csr.resolve_edge_ids(rng.sample(edges, k=rng.randrange(0, 3)))
-            )
-            verts = sorted(rng.sample(range(g.n), k=rng.randrange(0, 2)))
-            queries.append((s, t, eids, verts))
-        got = kernel.multi_pair_dists(queries)
-        for (s, t, eids, verts), d in zip(queries, got):
-            ban = csr.stamp_edge_ids(eids, verts)
-            assert d == csr.bidir_distance(s, t, ban)
-
-
-def test_multi_pair_unwind_leaves_no_bans_behind(monkeypatch):
-    """A batch that raises mid-round must not leak its ban keys: the
-    kernel is cached per snapshot, so its pooled ban tables serve every
-    later batch."""
-    monkeypatch.setenv("REPRO_C_KERNEL", "off")
-    g = erdos_renyi(60, 0.2, seed=3)
-    csr = csr_of(g)
-    kernel = BulkCSRKernel(csr, min_bulk_n=0)
-    # Query 0 bans every edge at its source, query 1 every neighbor of
-    # its source, so a leaked key on either table cuts the pair.  The
-    # vertex-ban table is only read by batches that ban some vertex,
-    # hence query 2; both batches have three queries so the second one
-    # reuses the first one's tables.
-    cut_edges = sorted(csr.resolve_edge_ids((0, w) for w in g.neighbors(0)))
-    cut_verts = sorted(g.neighbors(1))
-    poisoned = [(0, 59, cut_edges, []), (1, 58, [], cut_verts), (2, 57, [], [])]
-    clean = [(0, 59, [], []), (1, 58, [], []), (2, 57, [], [30])]
-    want = [
-        csr.bidir_distance(s, t, csr.stamp_edge_ids(eids, verts))
-        for s, t, eids, verts in clean
-    ]
-    assert -1 not in want
-
-    def out_of_memory(self, k):
-        raise MemoryError("injected inside the round loop")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(BulkCSRKernel, "_arange_n", out_of_memory)
-        with pytest.raises(MemoryError, match="injected"):
-            kernel.multi_pair_dists(poisoned)
-    assert kernel.multi_pair_dists(clean) == want
 
 
 def _mixed_queries(g, csr, rng, count):
@@ -362,40 +243,28 @@ def _mixed_queries(g, csr, rng, count):
 
 
 @needs_ckernel
-def test_c_kernel_multi_pair_and_targets_match_scalar():
-    """The C batch kernels are bit-identical to the scalar reference
-    across ban shapes, long-distance pairs, and shared sweeps."""
+def test_c_kernel_multi_pair_matches_scalar(monkeypatch):
+    """The C multi-pair kernel is bit-identical to the scalar reference
+    across ban shapes and long-distance pairs."""
+    monkeypatch.setenv("REPRO_C_KERNEL", "on")
     for g in (
         path_graph(40),
         erdos_renyi(60, 0.08, seed=2),
         tree_plus_chords(90, 35, seed=4),
     ):
         csr = csr_of(g)
-        kernel = BulkCSRKernel(csr, min_bulk_n=0)
-        assert kernel.c_active
         rng = random.Random(g.n)
         queries = _mixed_queries(g, csr, rng, 90)
-        got = kernel.multi_pair_dists(queries)
-        assert kernel.dispatch_stats["pairs_c"] == 90  # C really served
+        got = csr.multi_pair_dists(queries)
+        assert csr.dispatch_stats["pairs_c"] == 90  # C really served
         for (s, t, eids, verts), d in zip(queries, got):
             ban = csr.stamp_edge_ids(eids, verts)
             assert d == csr.bidir_distance(s, t, ban), (g.n, s, t)
-        edges = sorted(g.edges())
-        for _ in range(8):
-            eids = csr.resolve_edge_ids(rng.sample(edges, k=rng.randrange(0, 4)))
-            verts = rng.sample(range(1, g.n), k=rng.randrange(0, 2))
-            targets = rng.sample(range(g.n), k=10) + [0]  # incl. source
-            ban = kernel.stamp_edge_ids(eids, verts)
-            got = kernel.multi_target_dists(0, targets, ban)
-            for t, d in zip(targets, got):
-                ban2 = csr.stamp_edge_ids(eids, verts)
-                assert d == csr.bidir_distance(0, t, ban2), (g.n, t)
-        assert kernel.dispatch_stats["sweeps_c"] > 0
 
 
-def test_c_kernel_fallback_lands_on_numpy(monkeypatch):
-    """A missing/broken extension silently degrades to the numpy kernel
-    with identical output (the pure-python-install guarantee)."""
+def test_c_kernel_fallback_lands_on_python(monkeypatch):
+    """A missing/broken extension silently degrades to the python
+    kernel with identical output (the pure-python-install guarantee)."""
     g = erdos_renyi(60, 0.08, seed=2)
     csr = csr_of(g)
     rng = random.Random(11)
@@ -412,20 +281,12 @@ def test_c_kernel_fallback_lands_on_numpy(monkeypatch):
     monkeypatch.setattr(
         ckernel, "_load_state", (None, "simulated missing extension")
     )
-    kernel = BulkCSRKernel(csr, min_bulk_n=0)
-    assert not kernel.c_active
-    assert kernel.multi_pair_dists(queries) == want
-    assert kernel.dispatch_stats["pairs_c"] == 0
-    # the tier counters partition the batch: numpy labels + the
-    # scalar-served lock-step tail
-    assert (
-        kernel.dispatch_stats["pairs_dense"]
-        + kernel.dispatch_stats["pairs_cutover"]
-        == len(queries)
-    )
-    # The whole batched pipeline stays exact on the degraded kernel.
-    csr._bulk = kernel
-    oracle = BulkDistanceOracle(g)
+    assert not csr.c_active
+    assert csr.multi_pair_dists(queries) == want
+    assert csr.dispatch_stats["pairs_c"] == 0
+    assert kernel_dispatch_stats(g) is None
+    # The whole batched pipeline stays exact on the python kernel.
+    oracle = DistanceOracle(g)
     reference = PythonDistanceOracle(g)
     requests = random_requests(g, rng, 30)
     batch = oracle.batch()
@@ -437,16 +298,16 @@ def test_c_kernel_fallback_lands_on_numpy(monkeypatch):
     ]
 
 
-def test_c_kernel_off_env_forces_numpy(monkeypatch):
+def test_c_kernel_off_env_forces_python(monkeypatch):
     """REPRO_C_KERNEL=off routes around a perfectly healthy C kernel."""
-    monkeypatch.setenv("REPRO_C_KERNEL", "off")
     g = erdos_renyi(50, 0.1, seed=3)
     csr = csr_of(g)
-    kernel = BulkCSRKernel(csr, min_bulk_n=0)
-    assert not kernel.c_active
+    csr.c_kernel()  # loads the kernel wherever it is available
+    monkeypatch.setenv("REPRO_C_KERNEL", "off")
+    assert not csr.c_active
     queries = _mixed_queries(g, csr, random.Random(4), 40)
-    got = kernel.multi_pair_dists(queries)
-    assert kernel.dispatch_stats["pairs_c"] == 0
+    got = csr.multi_pair_dists(queries)
+    assert csr.dispatch_stats["pairs_c"] == 0
     for (s, t, eids, verts), d in zip(queries, got):
         ban = csr.stamp_edge_ids(eids, verts)
         assert d == csr.bidir_distance(s, t, ban)
@@ -459,9 +320,8 @@ def test_c_kernel_on_raises_when_broken(monkeypatch):
         ckernel, "_load_state", (None, "simulated broken extension")
     )
     g = erdos_renyi(30, 0.15, seed=5)
-    kernel = BulkCSRKernel(csr_of(g), min_bulk_n=0)
     with pytest.raises(RuntimeError, match="simulated broken extension"):
-        kernel.multi_pair_dists([(0, 5, [], [])])
+        csr_of(g).multi_pair_dists([(0, 5, [], [])])
 
 
 @needs_ckernel
@@ -475,8 +335,7 @@ def test_csr_oracle_residual_runs_in_c(mode, monkeypatch):
     g = erdos_renyi(60, 0.08, seed=2)
     rng = random.Random(21)
     edges = sorted(g.edges())
-    # A banned vertex keeps every probe off the tree-repair path, and
-    # distinct sources keep every group below the sweep threshold.
+    # A banned vertex keeps every probe off the tree-repair path.
     requests = [
         (s, rng.randrange(g.n), (rng.choice(edges),), (rng.randrange(g.n),))
         for s in range(30)
@@ -533,7 +392,7 @@ def test_repair_cap_controls_strategy(monkeypatch):
     results = {}
     for cap in ("0", "100000"):
         monkeypatch.setattr(query_batch, "REPAIR_MAX_REGION", int(cap))
-        oracle = forced_bulk_oracle(g)
+        oracle = DistanceOracle(g)
         rng = random.Random(3)
         if reqs is None:
             # all probes share source 0 so the repair context is built
@@ -573,7 +432,7 @@ CONS2_SHAPES = {
     [
         pytest.param(shape, engine, id=shape + engine)
         for shape in CONS2_SHAPES
-        for engine in ("lex", "lex-csr", "lex-bulk")
+        for engine in ("lex", "lex-csr")
     ],
 )
 def test_cons2_builds_identical_with_and_without_batching(shape, engine, monkeypatch):

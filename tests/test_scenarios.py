@@ -14,7 +14,12 @@ import json
 
 import pytest
 
-from repro.core.canonical import UNREACHABLE, normalize_distance, normalize_distances
+from repro.core.canonical import (
+    ENGINES,
+    UNREACHABLE,
+    normalize_distance,
+    normalize_distances,
+)
 from repro.core.errors import GraphError, VerificationError
 from repro.core.scenario import (
     Scenario,
@@ -37,8 +42,8 @@ from repro.core.topology import (
 )
 from tests.diffcheck import (
     CORPUS_DIR,
+    LEX_ENGINES,
     WEIGHTED_ENGINES,
-    available_engines,
     corpus_blueprints,
     replay_blueprint,
 )
@@ -404,10 +409,9 @@ class TestDifferentialCorpus:
                 assert len(step["signature"]) == 64
 
     def test_engine_ladder_is_exercised(self):
-        engines = available_engines()
-        # lex and lex-csr are always registered; the vectorized tier
-        # joins wherever numpy imports.
-        assert "lex" in engines and "lex-csr" in engines
+        # The replayed ladder is lex and lex-csr, both always registered.
+        assert LEX_ENGINES == ("lex", "lex-csr")
+        assert all(engine in ENGINES for engine in LEX_ENGINES)
 
 
 class TestWeightedDifferentialCorpus:

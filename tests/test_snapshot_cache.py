@@ -242,10 +242,8 @@ def test_weight_capped_overwrite_does_not_inflate_weight():
 def test_cached_repair_context_does_not_immortalize_snapshot():
     import weakref
 
-    from repro.core.canonical import BulkDistanceOracle, HAVE_BULK
-
     g = erdos_renyi(30, 0.2, seed=13)
-    oracle = (BulkDistanceOracle if HAVE_BULK else DistanceOracle)(g)
+    oracle = DistanceOracle(g)
     batch = oracle.batch()
     edges = sorted(g.edges())
     for t in range(1, 20):  # >=4 same-source edge-only probes builds
