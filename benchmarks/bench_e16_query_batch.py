@@ -23,12 +23,19 @@ ways, cold-cache each time:
   and recorded as such, on hosts where the C kernel cannot load);
 * *per-pair scalar* — the identical probes looped through scalar
   ``oracle.distance`` point queries (the pre-batch code path, i.e.
-  ``REPRO_QUERY_BATCH=0``'s behavior).
+  ``REPRO_QUERY_BATCH=0``'s behavior) with ``REPRO_C_KERNEL=off``, so
+  every query runs the python ``bidir_distance`` loop;
+* *per-pair C* — the same loop with ``REPRO_C_KERNEL=on`` on a snapshot
+  that holds its C kernel, so every query is one C call
+  (informational; skipped where the C kernel cannot load).
 
-Each batched arm also records what the C kernel served
+Each arm that can reach C also records what the C kernel served
 (:func:`repro.core.csr.kernel_dispatch_stats`), so the dispatch
 decision is part of the persisted payload.  The C arm must meet
-``REPRO_BENCH_MIN_BATCH_VS_SCALAR_C`` on *every* workload.
+``REPRO_BENCH_MIN_BATCH_VS_SCALAR_C`` against the python per-pair arm
+on *every* workload; its ratio to the per-pair C arm
+(``c_vs_scalar_c``) says whether batching still beats one C call per
+pair.
 
 **Batch-size curve.**  ``distances_bulk`` (one fault set, one source,
 many targets) against per-pair scalar queries across batch sizes — the
@@ -74,7 +81,7 @@ import time
 
 from repro.core import parallel
 from repro.core.ckernel import c_kernel_available
-from repro.core.csr import kernel_dispatch_stats
+from repro.core.csr import csr_of, kernel_dispatch_stats
 from repro.core.snapshot_cache import shared_cache
 from repro.ftbfs.cons2ftbfs import build_cons2ftbfs, feasibility_probes
 from repro.ftbfs.generic import build_ft_mbfs
@@ -150,7 +157,11 @@ def _time_batched(ctx, probes):
 
 
 def _time_scalar(ctx, probes):
-    """Answer every probe with per-pair scalar point queries (cold)."""
+    """Answer every probe with per-pair scalar point queries (cold).
+
+    Which kernel answers them is the caller's ``REPRO_C_KERNEL`` pin:
+    ``off`` runs the python loop, ``on`` one C call per query.
+    """
     shared_cache().clear()
     distance = ctx.oracle.distance
     source = ctx.source
@@ -171,7 +182,7 @@ def test_e16_feasibility_workload(benchmark):
         shared_cache().clear()
         ctx = SourceContext(g, 0, BATCH_ENGINE)
         probes = feasibility_probes(ctx)  # runs step 1 once (untimed)
-        best_b = best_s = best_c = float("inf")
+        best_b = best_s = best_c = best_sc = float("inf")
         stats = stats_c = None
         dispatch = {}
         for _ in range(rounds):
@@ -189,9 +200,17 @@ def test_e16_feasibility_workload(benchmark):
                     elapsed, _, stats_c = _time_batched(ctx, probes)
                     dispatch["c"] = kernel_dispatch_stats(g)
                 best_c = min(best_c, elapsed)
-            best_s = min(best_s, _time_scalar(ctx, probes))
+            with _c_kernel("off"):  # the python per-pair loop the floors gate
+                best_s = min(best_s, _time_scalar(ctx, probes))
+            if have_c:
+                with _c_kernel("on"):
+                    csr_of(g).c_kernel()  # built by the first search anyway
+                    kernel_dispatch_stats(g, reset=True)
+                    best_sc = min(best_sc, _time_scalar(ctx, probes))
+                    dispatch["scalar_c"] = kernel_dispatch_stats(g)
         speedup = best_s / best_b
         speedup_c = best_s / best_c if have_c else None
+        c_vs_scalar_c = best_sc / best_c if have_c else None
         label = workload_label(kind, n, arg)
         rows.append(
             [
@@ -202,6 +221,8 @@ def test_e16_feasibility_workload(benchmark):
                 f"{speedup:.2f}x",
                 f"{1000.0 * best_c:.1f}" if have_c else "n/a",
                 f"{speedup_c:.2f}x" if have_c else "n/a",
+                f"{1000.0 * best_sc:.1f}" if have_c else "n/a",
+                f"{c_vs_scalar_c:.2f}x" if have_c else "n/a",
             ]
         )
         entries.append(
@@ -217,12 +238,14 @@ def test_e16_feasibility_workload(benchmark):
                 "speedup": speedup,
                 "c_seconds": best_c if have_c else None,
                 "speedup_c": speedup_c,
+                "scalar_c_seconds": best_sc if have_c else None,
+                "c_vs_scalar_c": c_vs_scalar_c,
                 "c_vs_python": (
                     best_b / best_c if have_c else None
                 ),
                 "executor_stats": stats,
                 "executor_stats_c": stats_c,
-                # Which kernel tier actually served each batched arm
+                # Which kernel tier actually served each arm
                 # (auto-dispatch made observable).
                 "kernel_dispatch": dispatch,
             }
@@ -236,13 +259,17 @@ def test_e16_feasibility_workload(benchmark):
             "speedup",
             "C (ms)",
             "speedup",
+            "per-pair C (ms)",
+            "C vs per-pair C",
         ],
         rows,
     )
     body += (
         "\nCons2FTBFS step-2/3 feasibility probes answered via the "
         "\nbatched pipeline (python arm: REPRO_C_KERNEL=off; C arm: "
-        "\nREPRO_C_KERNEL=on) vs per-pair scalar oracle.distance; "
+        "\nREPRO_C_KERNEL=on) vs per-pair scalar oracle.distance "
+        "\n(per-pair: REPRO_C_KERNEL=off; per-pair C: one C call per "
+        "\nquery, informational); "
         f"\nbest of {_rounds()} rounds, snapshot cache cleared per arm."
     )
     emit("E16", "batched feasibility checks vs per-pair scalar", body)

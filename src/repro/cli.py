@@ -344,7 +344,10 @@ def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
     served = []
     if stats.get("pairs_c_mt"):
         served.append("c-mt")
-    if any(stats.get(key) for key in ("searches_c", "full_sweeps_c", "pairs_c")):
+    if any(
+        stats.get(key)
+        for key in ("searches_c", "full_sweeps_c", "points_c", "pairs_c")
+    ):
         served.append("c")
     return "+".join(served) if served else "csr"
 
@@ -499,7 +502,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(
                 f"             kernel: {tier} — searches "
                 f"{ds.get('searches_c', 0)} c, full sweeps "
-                f"{ds.get('full_sweeps_c', 0)} c; pairs "
+                f"{ds.get('full_sweeps_c', 0)} c; points "
+                f"{ds.get('points_c', 0)} c; pairs "
                 f"{ds.get('pairs_c_mt', 0)} c-mt / {ds['pairs_c']} c"
             )
         else:

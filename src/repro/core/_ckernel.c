@@ -2,18 +2,19 @@
  *
  * This file implements the restricted searches of the traversal stack
  * — the parent-producing canonical BFS and its distance-only sweep,
- * and multi-pair bidirectional point queries — as plain C over the
- * same flat CSR arrays the python kernel reads (`indptr` int64,
- * `nbr`/`arc_eid` narrowed to int32).  It removes the per-arc
- * interpretation cost of the python kernel (see docs/kernels.md).
+ * the one-pair bidirectional point query and its multi-pair batch —
+ * as plain C over the same flat CSR arrays the python kernel reads
+ * (`indptr` int64, `nbr`/`arc_eid` narrowed to int32).  It removes the
+ * per-arc interpretation cost of the python kernel (see
+ * docs/kernels.md).
  *
  * repro_bfs is a direct port of CSRGraph.bfs / bfs_dists: a FIFO
  * search over the sorted CSR rows keeping the first discoverer as
  * parent, which is the lex-minimal canonical tree (argument in the
  * docstring of repro/core/csr.py), stopping at the target's discovery.
  *
- * The multi-pair kernels port the scalar reference
- * (CSRGraph.bidir_distance):
+ * repro_point and the multi-pair kernels port the scalar reference
+ * (CSRGraph.bidir_distance) through one shared search, bidir_one:
  *
  *  - meet-in-the-middle search growing the smaller frontier (ties to
  *    the source side), stopping at the end of the first expansion
@@ -78,7 +79,7 @@ PyInit__ckernel(void)
 /* Bumped whenever an exported signature changes; the ctypes wrapper
  * refuses a library whose ABI tag it does not recognize (stale cached
  * build of an older source). */
-#define REPRO_CKERNEL_ABI 5
+#define REPRO_CKERNEL_ABI 6
 
 REPRO_EXPORT int64_t
 repro_ckernel_abi(void)
@@ -226,6 +227,45 @@ bidir_one(const int64_t *indptr, const int32_t *nbr, const int32_t *arc_eid,
         }
     }
     return -1;
+}
+
+/* The arguments of repro_point that never change for one snapshot: the
+ * CSR topology and the pair scratch.  The caller fills it once per
+ * kernel, so a one-pair query passes one pointer instead of thirteen
+ * (ctypes converts every argument on every call). */
+typedef struct {
+    const int64_t *indptr;
+    const int32_t *nbr;
+    const int32_t *arc_eid;
+    int64_t *visit_s;
+    int32_t *dist_s;
+    int64_t *visit_t;
+    int32_t *dist_t;
+    int64_t *eban;
+    int64_t *vban;
+    int32_t *fs;
+    int32_t *fs_next;
+    int32_t *ft;
+    int32_t *ft_next;
+} point_ctx;
+
+/* One restricted point query: bans[0 .. ne) are banned edge ids and
+ * bans[ne .. ne + nv) banned vertices, stamped with `gen` like
+ * repro_bfs's.  Returns the exact hop distance, -1 when the
+ * restriction cuts the pair (a banned endpoint included), 0 for
+ * source == target. */
+REPRO_EXPORT int64_t
+repro_point(const point_ctx *c, int32_t source, int32_t target,
+            int64_t ne, int64_t nv, const int32_t *bans, int64_t gen)
+{
+    for (int64_t i = 0; i < ne; i++)
+        c->eban[bans[i]] = gen;
+    for (int64_t i = ne; i < ne + nv; i++)
+        c->vban[bans[i]] = gen;
+    return bidir_one(c->indptr, c->nbr, c->arc_eid, source, target, gen,
+                     ne > 0, nv > 0, c->visit_s, c->dist_s, c->visit_t,
+                     c->dist_t, c->eban, c->vban, c->fs, c->fs_next, c->ft,
+                     c->ft_next);
 }
 
 /* The shared strided loop behind both multi-pair entry points:

@@ -3,7 +3,9 @@
 The upper rung of the two-rung kernel ladder (python CSR kernel → C;
 see ``docs/kernels.md``): the restricted canonical search and its
 distance-only sweep (:meth:`CKernel.bfs`, behind ``CSRGraph.bfs`` /
-``bfs_dists``) and the batch hot path of the point-query pipeline
+``bfs_dists``), the one-pair point query (:meth:`CKernel.point`,
+behind ``CSRGraph.bidir_distance`` once the snapshot holds a kernel)
+and the batch hot path of the point-query pipeline
 (:meth:`CKernel.multi_pair_dists`, behind
 ``CSRGraph.multi_pair_dists``), implemented in plain C over the same
 flat CSR arrays the python kernel reads.  The C tier removes the
@@ -74,7 +76,7 @@ from repro.core.errors import GraphError
 
 #: ABI tag the wrapper expects; must match the ABI macro in
 #: ``_ckernel.c`` (a mismatched cached build is rejected and rebuilt).
-ABI = 5
+ABI = 6
 
 #: Default ``REPRO_C_MT_MIN``: below this many queries per batch the
 #: serial C entry point wins (thread spawn ~tens of µs vs ~1 µs/pair).
@@ -86,6 +88,26 @@ MAX_C_THREADS = 64
 
 _P64 = ctypes.POINTER(ctypes.c_int64)
 _P32 = ctypes.POINTER(ctypes.c_int32)
+
+
+class _PointCtx(ctypes.Structure):
+    """``point_ctx`` in ``_ckernel.c``: what :meth:`CKernel.point` never changes."""
+
+    _fields_ = [
+        ("indptr", _P64),
+        ("nbr", _P32),
+        ("arc_eid", _P32),
+        ("visit_s", _P64),
+        ("dist_s", _P32),
+        ("visit_t", _P64),
+        ("dist_t", _P32),
+        ("eban", _P64),
+        ("vban", _P64),
+        ("fs", _P32),
+        ("fs_next", _P32),
+        ("ft", _P32),
+        ("ft_next", _P32),
+    ]
 
 #: Memoized load outcome: ``None`` until the first attempt, then
 #: ``(library or None, detail string)``.  Tests simulate a broken or
@@ -185,6 +207,13 @@ def _configure(lib: ctypes.CDLL) -> Tuple[Optional[ctypes.CDLL], str]:
         c64,  # gen
         _P64, _P64, _P32,  # eban, vban, queue
         _P32, _P32,  # dist, parent (NULL = distances only)
+    ]
+    lib.repro_point.restype = c64
+    lib.repro_point.argtypes = [
+        ctypes.POINTER(_PointCtx),
+        c32, c32,  # source, target
+        c64, c64, _P32,  # ne, nv, bans (edge ids then vertices)
+        c64,  # gen
     ]
     lib.repro_multi_pair_dists.restype = None
     lib.repro_multi_pair_dists.argtypes = [
@@ -421,6 +450,7 @@ class CKernel:
         "_p_bfs",
         "_p_dist",
         "_p_parent",
+        "_p_point",
         "_mt_threads",
         "_mt_scratch_arrays",
         "_p_mt",
@@ -482,6 +512,9 @@ class CKernel:
         )
         self._p_dist = _ptr(self._dist, _P32)
         self._p_parent = _ptr(self._parent, _P32)
+        # The pointer keeps its struct alive; the struct's pointers are
+        # the buffers above, which live as long as this kernel.
+        self._p_point = ctypes.pointer(_PointCtx(*self._p_topo, *self._p_pair))
         # Threaded multi-pair scratch: T disjoint slabs, allocated
         # lazily at the first threaded dispatch and regrown when the
         # thread count rises.  Fresh slabs start at stamp -1, below
@@ -533,11 +566,34 @@ class CKernel:
         target or the restriction cuts it off).
         """
         n = self.n
-        m = self.m
         if not 0 <= source < n:
             raise GraphError(f"source {source} outside [0, {n})")
+        bans = self._fill_bans(eids, verts)
         ne = len(eids)
-        k = ne + len(verts)
+        gen = self._gen + 1
+        self._gen = gen
+        if target is None or not 0 <= target < n:
+            target = -1  # never discovered: the search runs to exhaustion
+        return self._lib.repro_bfs(
+            *self._p_topo,
+            n,
+            source,
+            target,
+            ne,
+            len(verts),
+            bans,
+            gen,
+            *self._p_bfs,
+            self._p_dist,
+            self._p_parent if parents else None,
+        )
+
+    def _fill_bans(self, eids: Sequence[int], verts: Sequence[int]):
+        """Copy a restriction into the reused ``bans`` buffer, edge ids
+        first, after range-checking every id as a Python int."""
+        n = self.n
+        m = self.m
+        k = len(eids) + len(verts)
         bans = self._bans
         if k > len(bans):
             bans = self._bans = (ctypes.c_int32 * (2 * k))()
@@ -552,22 +608,34 @@ class CKernel:
                 raise GraphError(f"banned vertex {v} outside [0, {n})")
             bans[i] = v
             i += 1
+        return bans
+
+    def point(
+        self,
+        source: int,
+        target: int,
+        eids: Sequence[int],
+        verts: Sequence[int],
+    ) -> int:
+        """One restricted point query (``repro_point`` in ``_ckernel.c``).
+
+        The C execution of :meth:`repro.core.csr.CSRGraph.bidir_distance`
+        under the restriction ``eids`` (resolved banned edge ids) /
+        ``verts`` (banned vertices): the same meet-in-the-middle search
+        as one query of :meth:`multi_pair_dists`, without the batch
+        marshalling.  Returns the exact hop distance, ``-1`` when the
+        restriction cuts the pair or bans an endpoint.
+        """
+        n = self.n
+        if not 0 <= source < n:
+            raise GraphError(f"query source {source} outside [0, {n})")
+        if not 0 <= target < n:
+            raise GraphError(f"query target {target} outside [0, {n})")
+        bans = self._fill_bans(eids, verts)
         gen = self._gen + 1
         self._gen = gen
-        if target is None or not 0 <= target < n:
-            target = -1  # never discovered: the search runs to exhaustion
-        return self._lib.repro_bfs(
-            *self._p_topo,
-            n,
-            source,
-            target,
-            ne,
-            k - ne,
-            bans,
-            gen,
-            *self._p_bfs,
-            self._p_dist,
-            self._p_parent if parents else None,
+        return self._lib.repro_point(
+            self._p_point, source, target, len(eids), len(verts), bans, gen
         )
 
     def distances(self) -> List[int]:

@@ -62,8 +62,9 @@ loads (``REPRO_C_KERNEL``), :meth:`CSRGraph.bfs`,
 :meth:`CSRGraph.bfs_dists` and :meth:`CSRGraph.multi_pair_dists` run
 in C over the flat arrays — the same FIFO first-discoverer search, so
 results are bit-identical — and the python loops below serve
-``REPRO_C_KERNEL=off`` and compiler-less hosts.  The scalar
-:meth:`CSRGraph.bidir_distance` always runs in python.
+``REPRO_C_KERNEL=off`` and compiler-less hosts.  The one-pair
+:meth:`CSRGraph.bidir_distance` runs in C only once a search has
+built the snapshot's kernel; it never builds one itself.
 :func:`kernel_dispatch_stats` reports what ran in C.
 
 The snapshot is cached on the graph (versioned, invalidated by
@@ -142,9 +143,10 @@ def kernel_dispatch_stats(graph: Graph, reset: bool = False):
     """C dispatch counters of ``graph``'s cached snapshot, or ``None``.
 
     Returns a copy of the snapshot's ``dispatch_stats`` — how many
-    searches (``searches_c``), full sweeps (``full_sweeps_c``) and
-    multi-pair queries (``pairs_c``, ``pairs_c_mt`` and its per-thread
-    split) ran in C — so auto-dispatch decisions are observable after
+    searches (``searches_c``), full sweeps (``full_sweeps_c``), one-pair
+    point queries (``points_c``) and multi-pair queries (``pairs_c``,
+    ``pairs_c_mt`` and its per-thread split) ran in C — so
+    auto-dispatch decisions are observable after
     the fact (``repro bench`` and the E16 benchmark report them per
     arm).  ``reset`` zeroes the live counters after copying.  ``None``
     exactly when the snapshot holds no C kernel (the python kernel
@@ -336,6 +338,7 @@ class CSRGraph:
         self.dispatch_stats = {
             "searches_c": 0,
             "full_sweeps_c": 0,
+            "points_c": 0,
             "pairs_c": 0,
             "pairs_c_mt": 0,
             # thread index -> pairs served by that thread under the
@@ -770,7 +773,21 @@ class CSRGraph:
         ``Cons2FTBFS``'s feasibility checks) cheap.  Distances only; no
         parent tracking.  Returns ``-1`` when the restriction cuts the
         pair (or bans an endpoint).
+
+        Runs as one C call (:meth:`repro.core.ckernel.CKernel.point`,
+        counted in ``dispatch_stats["points_c"]``) when ``ban`` is the
+        live stamp, the snapshot already holds its C kernel and
+        ``REPRO_C_KERNEL`` is not ``off``.  It never builds the kernel:
+        that costs array copies worth dozens of point queries, and a
+        snapshot that only answers point queries (a served delta
+        snapshot) would pay them for nothing.
         """
+        ck = self._ck
+        if ck is not None:
+            stamp = self._last_stamp
+            if stamp[0] == ban[0] and c_kernel_mode() != "off":
+                self.dispatch_stats["points_c"] += 1
+                return ck.point(source, target, stamp[1], stamp[2])
         bg, have_e, have_v = ban
         vban = self._vban
         if have_v and (vban[source] == bg or vban[target] == bg):

@@ -42,7 +42,9 @@ applicable strategy:
   and at least :data:`PAIR_MIN_C` pairs remain;
 * **pooled scalar fallback**
   (:meth:`repro.core.csr.CSRGraph.bidir_distances`) — small residues
-  and hosts without the C kernel, one ban stamping per restriction.
+  and hosts without the C kernel, one ban stamping per restriction and
+  one point query per pair (a C call each once the snapshot holds its
+  kernel).
 
 Every strategy computes exact hop distances, so results are
 bit-identical to per-pair
@@ -61,10 +63,11 @@ weighted oracles answer the same planner API through
 reproducing the pre-kernel behavior end to end.
 
 Only probes whose restriction is known upfront belong here.  Step 3 of
-``Cons2FTBFS`` also probes ``dist(s, v, G \\ ((E(v) \\ collected) ∪ F))``,
+``Cons2FTBFS`` also asks for ``dist(s, v, G \\ ((E(v) \\ collected) ∪ F))``,
 but ``collected`` — the edge set gathered at ``v`` so far — grows as
-the loop runs, so those probes are issued one at a time as scalar
-queries in the paper's order.
+the loop runs.  Step 3 decides most of those checks from T0 depths
+and sends the rest one at a time, in the paper's order, as point
+queries (see :mod:`repro.ftbfs.cons2ftbfs`).
 
 Strategy thresholds are the module constants below
 (:data:`PAIR_MIN_C`, :data:`REPAIR_MAX_REGION`), read at execution

@@ -4,7 +4,8 @@ Algorithm ``Cons2FTBFS`` starts from the BFS tree
 ``T0 = ⋃_v π(s, v)`` where ``π(s, v) = SP(s, v, G, W)`` is the canonical
 shortest path.  :class:`BFSTree` wraps one canonical search result and
 serves the per-vertex paths, depths, tree edges and subtree queries the
-constructions need.
+constructions need.  Its Euler intervals make "does ``π(s, v)`` pass
+through ``a``" an O(1) test (:meth:`BFSTree.is_ancestor`).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class BFSTree:
         self.engine = engine
         self._result: SearchResult = self.engine.search(source)
         self._children: Optional[List[List[int]]] = None
+        self._euler: Optional[Tuple[List[int], List[int]]] = None
         self._pi_cache: Dict[int, Path] = {}
 
     # ------------------------------------------------------------------
@@ -94,18 +96,54 @@ class BFSTree:
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
+    def _index(self) -> None:
+        """Build the children table and the Euler intervals, once."""
+        n = self.graph.n
+        res = self._result
+        kids: List[List[int]] = [[] for _ in range(n)]
+        for w in res.reachable_vertices():
+            p = res.parent(w)
+            if p != w:
+                kids[p].append(w)
+        for lst in kids:
+            lst.sort()
+        # Preorder numbering: a subtree is a contiguous run of entry
+        # times, so tout[v] = tin[v] + |subtree(v)|.
+        tin = [-1] * n
+        tout = [-1] * n
+        order: List[int] = []
+        stack = [self.source]
+        while stack:
+            u = stack.pop()
+            tin[u] = len(order)
+            order.append(u)
+            stack.extend(reversed(kids[u]))
+        size = [1] * n
+        for u in reversed(order):
+            if u != self.source:
+                size[res.parent(u)] += size[u]
+            tout[u] = tin[u] + size[u]
+        self._children = kids
+        self._euler = (tin, tout)
+
     def children(self, v: int) -> List[int]:
         """Children of ``v`` in the tree, sorted."""
         if self._children is None:
-            kids: List[List[int]] = [[] for _ in range(self.graph.n)]
-            for w in self._result.reachable_vertices():
-                p = self._result.parent(w)
-                if p != w:
-                    kids[p].append(w)
-            for lst in kids:
-                lst.sort()
-            self._children = kids
+            self._index()
         return self._children[v]
+
+    def euler_intervals(self) -> Tuple[List[int], List[int]]:
+        """Entry and exit times ``(tin, tout)`` of a preorder walk of the tree.
+
+        ``u`` lies in the subtree of ``a`` — equivalently, ``a`` lies on
+        ``π(s, u)`` — iff ``tin[a] <= tin[u] < tout[a]``.  Unreached
+        vertices carry ``-1`` in both lists, so they lie in no subtree
+        and no vertex lies in theirs.  The lists are shared; do not
+        mutate them.
+        """
+        if self._euler is None:
+            self._index()
+        return self._euler
 
     def subtree(self, v: int) -> List[int]:
         """All vertices in the subtree rooted at ``v`` (including ``v``)."""
@@ -141,14 +179,12 @@ class BFSTree:
         return int(max(du, dv))
 
     def is_ancestor(self, a: int, v: int) -> bool:
-        """True iff ``a`` lies on ``π(s, v)`` (every vertex is its own ancestor)."""
+        """True iff ``a`` lies on ``π(s, v)`` (every vertex is its own
+        ancestor); O(1) on the Euler intervals."""
         if not (self.reached(a) and self.reached(v)):
             return False
-        da = self._result.dist(a)
-        w = v
-        while self._result.dist(w) > da:
-            w = self._result.parent(w)
-        return w == a
+        tin, tout = self.euler_intervals()
+        return tin[a] <= tin[v] < tout[a]
 
     def __repr__(self) -> str:
         return (

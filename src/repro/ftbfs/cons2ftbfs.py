@@ -39,15 +39,19 @@ produced structure is byte-identical to the per-pair scalar path —
 set ``REPRO_QUERY_BATCH=0`` to force that path (the E16 benchmark's
 baseline arm).
 
-One probe family stays outside the plan phase: the ``d_restricted``
-check of step 3 asks ``dist(s, v, G')`` where ``G'`` bans every edge
-incident to ``v`` *not yet collected* — and the collected set grows as
-step 3 itself appends new-ending last edges, so the probe's
-restriction depends on the loop's own progress.  Step 3 therefore
-issues it as one scalar point query per pair, in the paper's order.
-How many of them the shared snapshot-cache memo answers depends on
-the graph: 96% on ``tree_plus_chords(1000, 300)``, 2% on
-``erdos_renyi(1000, 0.008)``.
+One check stays outside the plan phase: the ``d_restricted`` test of
+step 3 asks whether ``dist(s, v, G')`` still equals the pair's target,
+where ``G'`` bans every edge incident to ``v`` *not yet collected* —
+and the collected set grows as step 3 itself appends new-ending last
+edges, so the restriction depends on the loop's own progress.  Step 3
+decides most pairs with no search at all, from T0 depths and the
+tree's Euler intervals (:class:`_DepthRule`; the proof is in
+:func:`_finish_vertex`), and issues a point query, in the paper's
+order, only for the pairs that rule leaves open — about 1 in 10 on
+``erdos_renyi(1000, 0.008)``, most of them on
+``tree_plus_chords(1000, 300)``, where the shared snapshot-cache memo
+answers 96% of them.  With the C kernel loaded each remaining query is
+one C call (:meth:`repro.core.csr.CSRGraph.bidir_distance`).
 """
 
 from __future__ import annotations
@@ -108,6 +112,9 @@ def build_cons2ftbfs(
     """
     ctx = SourceContext(graph, source, engine)
     tree = ctx.tree
+    # The depth rule is stated for hop distances; a weighted engine's
+    # step 3 keeps its point query for every pair.
+    rule = None if getattr(ctx.engine, "weighted", False) else _DepthRule(tree)
     t0_edges = set(tree.edges())
     edges: Set[Edge] = set(t0_edges)
     new_per_vertex: Dict[int, int] = {}
@@ -131,7 +138,7 @@ def build_cons2ftbfs(
         batch.execute()
 
     for plan in plans:
-        record = _finish_vertex(ctx, plan, keep_records)
+        record = _finish_vertex(ctx, plan, keep_records, rule)
         v = record.vertex
         edges.update(record.new_edges)
         edges.update(_incident_tree_edges(tree, v))
@@ -247,15 +254,104 @@ def _plan_vertex(ctx: SourceContext, v: int, batch) -> _VertexPlan:
     return _VertexPlan(vertex=v, pi_path=pi_path, singles=singles, pipi=pipi, pid=pid)
 
 
+class _DepthRule:
+    """Step 3's ``d_restricted == target`` test decided from T0 depths.
+
+    Holds the tree index the test reads: Euler intervals, and the child
+    endpoint of every tree edge a fault pair has named so far.  A
+    collected edge ``(u, v)`` enters the test as the entry
+    ``(edge, depth(u), tin(u))`` (:meth:`entry`); :meth:`decide` answers
+    ``True``, ``False`` or ``None`` (the pair needs its point query).
+    See :func:`_finish_vertex` for why the answers are exact.
+    """
+
+    __slots__ = ("tree", "tin", "tout", "_child")
+
+    def __init__(self, tree) -> None:
+        self.tree = tree
+        self.tin, self.tout = tree.euler_intervals()
+        self._child: Dict[Edge, int] = {}
+
+    def entry(self, v: int, edge: Edge) -> Tuple[Edge, int, int]:
+        """The test's view of collected edge ``edge`` at ``v``."""
+        u = edge[0] if edge[1] == v else edge[1]
+        return edge, self.tree.depth(u), self.tin[u]
+
+    def child(self, e: Edge) -> int:
+        """The child endpoint of ``e`` in T0, ``-1`` if ``e`` is no tree edge."""
+        c = self._child.get(e)
+        if c is None:
+            a, b = e
+            parent = self.tree.parent
+            c = b if parent(b) == a else a if parent(a) == b else -1
+            self._child[e] = c
+        return c
+
+    def decide(
+        self,
+        entries: List[Tuple[Edge, int, int]],
+        faults: Tuple[Edge, Edge],
+        target: int,
+    ) -> Optional[bool]:
+        """Does some collected edge ``(u, v)`` outside ``F`` have
+        ``dist(s, u, G \\ F) = target - 1``?  ``None`` when T0 depths
+        cannot tell."""
+        f0, f1 = faults
+        tin = self.tin
+        tout = self.tout
+        c = self.child(f0)
+        lo0, hi0 = (tin[c], tout[c]) if c >= 0 else (0, 0)
+        c = self.child(f1)
+        lo1, hi1 = (tin[c], tout[c]) if c >= 0 else (0, 0)
+        tm = target - 1
+        undecided = False
+        for edge, du, tu in entries:
+            if du > tm or edge == f0 or edge == f1:
+                continue
+            if lo0 <= tu < hi0 or lo1 <= tu < hi1:
+                undecided = True  # T0 path of u meets F: depth(u) is a lower bound
+            elif du == tm:
+                return True
+        return None if undecided else False
+
+
 def _finish_vertex(
-    ctx: SourceContext, plan: _VertexPlan, keep_records: bool
+    ctx: SourceContext,
+    plan: _VertexPlan,
+    keep_records: bool,
+    rule: Optional[_DepthRule],
 ) -> VertexRecord:
     """Steps 1-3 for one target: the paper's sequential selection logic,
     consuming the batched feasibility distances.
 
-    Every step-3 ``d_restricted`` probe is issued as a scalar point
-    query against the live collected set, exactly in the prescribed
-    pair order.
+    Step 3 asks, per pair ``F = (e, t)`` with finite
+    ``target = dist(s, v, G \\ F)``, whether ``dist(s, v, G \\ B) ==
+    target`` for ``B = F ∪ (E(v) \\ collected)``.  That holds iff some
+    collected edge ``(u, v)`` not in ``F`` has ``dist(s, u, G \\ F) =
+    target − 1``:
+
+    * ``G \\ B ⊆ G \\ F``, so ``dist(s, v, G \\ B) ≥ target`` always.
+    * If it equals ``target``, a shortest s–v path in ``G \\ B`` ends
+      with an edge ``(u, v)`` outside ``B`` — collected, not in ``F``
+      — and its prefix gives ``dist(s, u, G \\ F) ≤ target − 1``; the
+      edge ``(u, v)`` gives ``≥`` (else ``v`` would be closer than
+      ``target``).
+    * Conversely a shortest s–u path in ``G \\ F`` of length
+      ``target − 1`` cannot touch ``v`` (that would put ``v`` closer
+      than ``target``), so it keeps clear of every edge of ``B`` and
+      extends by ``(u, v)`` to a path of length ``target`` in
+      ``G \\ B``.
+
+    When u's T0 path avoids ``F``, ``dist(s, u, G \\ F) = depth(u)``:
+    the path survives and nothing is shorter.  It meets ``F`` iff ``u``
+    lies below the child endpoint of a tree edge in ``F`` (the
+    *region*, an Euler-interval test); inside it ``depth(u)`` is only a
+    lower bound.  So ``rule`` decides "yes" when a collected neighbour
+    outside the region has ``depth(u) = target − 1``, and "no" when no
+    such neighbour exists and no collected neighbour inside the region
+    has ``depth(u) ≤ target − 1``.  The other pairs — and every pair
+    when ``rule`` is ``None`` (weighted engines) — run the point query
+    against the live collected set, in the prescribed pair order.
     """
     v = plan.vertex
     tree = ctx.tree
@@ -297,6 +393,7 @@ def _finish_vertex(
     # Step 3: one fault on π(s, v), one on its detour, in the
     # prescribed decreasing (e, t) order.
     # ------------------------------------------------------------------
+    entries = [rule.entry(v, e) for e in collected] if rule is not None else None
     for rep, t, handle in plan.pid:
         faults = (rep.fault, t)
         target = (
@@ -306,9 +403,11 @@ def _finish_vertex(
         )
         if target == INF:
             continue
-        restricted_ban = (all_incident - collected) | set(faults)
-        d_restricted = ctx.distance(v, banned_edges=restricted_ban)
-        if d_restricted == target:
+        satisfied = rule.decide(entries, faults, target) if rule is not None else None
+        if satisfied is None:
+            restricted_ban = (all_incident - collected) | set(faults)
+            satisfied = ctx.distance(v, banned_edges=restricted_ban) == target
+        if satisfied:
             record.satisfied_pairs += 1
             continue
         dual = pid_replacement(ctx, v, rep, t, target=target)
@@ -317,7 +416,9 @@ def _finish_vertex(
         le = dual.path.last_edge()
         if le not in collected:
             record.new_from_pid += 1
-        collected.add(le)
+            collected.add(le)
+            if rule is not None:
+                entries.append(rule.entry(v, le))
         record.new_ending.append(dual)
 
     record.new_edges = collected - incident_tree

@@ -131,9 +131,11 @@ class SourceContext:
             if du != dv:
                 roots.add(v if dv > du else u)
         n = self.graph.n
-        damage = 1.0 if rebuild else (
-            sum(len(old.subtree(r)) for r in roots) / max(n, 1)
-        )
+        if rebuild:
+            damage = 1.0
+        else:
+            tin, tout = old.euler_intervals()  # tout - tin: a subtree's size
+            damage = sum(tout[r] - tin[r] for r in roots) / max(n, 1)
         if rebuild or damage > DELTA_MAX_DAMAGE:
             self.tree = BFSTree(self.graph, self.source, self.engine)
             dropped = len(self._fault_dist)

@@ -44,7 +44,6 @@ import struct
 import threading
 import time
 import traceback
-from bisect import insort
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import GraphError, ReproError
@@ -108,9 +107,11 @@ class ServerStats:
     :class:`~repro.core.snapshot_cache.SnapshotCache`): handler threads
     record concurrently and the totals must still be exact — the
     8-thread hammer in ``tests/test_serve.py`` asserts equality, not
-    approximation.  Latency samples are kept per endpoint in sorted
-    order, capped at :attr:`MAX_SAMPLES` (oldest evicted), and p50/p99
-    use the nearest-rank method.
+    approximation.  Each endpoint keeps its last :attr:`MAX_SAMPLES`
+    latencies in a fixed ring (the oldest overwritten), so a record
+    costs O(1) under the lock however long the server has run;
+    :meth:`snapshot` sorts a copy, and p50/p99 use the nearest-rank
+    method over that window.
     """
 
     #: Latency samples retained per endpoint for the percentile report.
@@ -126,17 +127,17 @@ class ServerStats:
         with self._lock:
             ep = self._endpoints.get(endpoint)
             if ep is None:
-                ep = {"count": 0, "errors": 0, "samples": [], "order": []}
+                ep = {"count": 0, "errors": 0, "ring": []}
                 self._endpoints[endpoint] = ep
-            ep["count"] += 1
+            count = ep["count"]
+            ep["count"] = count + 1
             if error:
                 ep["errors"] += 1
-            samples: List[float] = ep["samples"]
-            order: List[float] = ep["order"]
-            if len(order) >= self.MAX_SAMPLES:
-                samples.remove(order.pop(0))
-            insort(samples, seconds)
-            order.append(seconds)
+            ring: List[float] = ep["ring"]
+            if count < self.MAX_SAMPLES:
+                ring.append(seconds)
+            else:
+                ring[count % self.MAX_SAMPLES] = seconds
 
     @staticmethod
     def _rank(samples: Sequence[float], q: float) -> float:
@@ -147,25 +148,30 @@ class ServerStats:
         """The stats payload served to ``stats`` requests."""
         with self._lock:
             uptime = max(time.monotonic() - self._t0, 1e-9)
-            endpoints = {}
-            total = errors = 0
-            for name, ep in sorted(self._endpoints.items()):
-                samples = ep["samples"]
-                endpoints[name] = {
-                    "count": ep["count"],
-                    "errors": ep["errors"],
-                    "qps": ep["count"] / uptime,
-                    "p50_ms": 1000.0 * self._rank(samples, 0.50) if samples else 0.0,
-                    "p99_ms": 1000.0 * self._rank(samples, 0.99) if samples else 0.0,
-                }
-                total += ep["count"]
-                errors += ep["errors"]
-            return {
-                "uptime_s": uptime,
-                "requests": total,
-                "errors": errors,
-                "endpoints": endpoints,
+            copied = [
+                (name, ep["count"], ep["errors"], list(ep["ring"]))
+                for name, ep in sorted(self._endpoints.items())
+            ]
+        # Sorting outside the lock keeps recorders from waiting on it.
+        endpoints = {}
+        total = errors = 0
+        for name, count, errs, ring in copied:
+            samples = sorted(ring)
+            endpoints[name] = {
+                "count": count,
+                "errors": errs,
+                "qps": count / uptime,
+                "p50_ms": 1000.0 * self._rank(samples, 0.50) if samples else 0.0,
+                "p99_ms": 1000.0 * self._rank(samples, 0.99) if samples else 0.0,
             }
+            total += count
+            errors += errs
+        return {
+            "uptime_s": uptime,
+            "requests": total,
+            "errors": errors,
+            "endpoints": endpoints,
+        }
 
 
 def format_stats(snapshot: dict) -> str:

@@ -1,15 +1,24 @@
 """White-box tests for Algorithm Cons2FTBFS's internal steps."""
 
+import random
+from collections import Counter
+
 import pytest
 
+from repro.core.canonical import INF
 from repro.core.graph import Graph, normalize_edge
+from repro.core.snapshot_cache import shared_cache
 from repro.ftbfs.cons2ftbfs import (
+    _DepthRule,
     _incident_tree_edges,
     build_cons2ftbfs,
+    feasibility_probes,
     new_edge_profile,
 )
 from repro.generators import erdos_renyi, path_graph, tree_plus_chords
 from repro.replacement.base import SourceContext
+
+from tests.zoo import CONS2_SHAPES, graph_zoo
 
 
 class TestIncidentTreeEdges:
@@ -105,6 +114,54 @@ class TestStep3Ordering:
                     p1 = rep1.detour.edge_position(t1)
                     p2 = rep1.detour.edge_position(t2)
                     assert p1 > p2
+
+
+#: The zoo plus the Cons2FTBFS build shapes, as graph factories; a
+#: shape is big enough that the rule must decide both ways.
+STEP3_CASES = [
+    pytest.param(lambda g=g: g, False, id=name) for name, g in graph_zoo()
+] + [
+    pytest.param(make, True, id="cons2" + ("-" + key.rstrip("-") if key else ""))
+    for key, make in CONS2_SHAPES.items()
+]
+
+
+@pytest.mark.parametrize("engine", ["lex", "lex-csr"])
+@pytest.mark.parametrize("make_graph,big", STEP3_CASES)
+def test_depth_rule_agrees_with_point_query(make_graph, big, engine):
+    """Wherever the T0-depth rule decides a step-3 pair, its answer is
+    the point query's: ``dist(s, v, G \\ B) == target`` for
+    ``B = F ∪ (E(v) \\ collected)``.  The proof holds for any
+    collected subset of E(v), so besides the start state (the tree
+    edges at v) the check draws E(v) itself and random subsets."""
+    g = make_graph()
+    shared_cache().clear()
+    ctx = SourceContext(g, 0, engine)
+    rule = _DepthRule(ctx.tree)
+    rng = random.Random(g.n * 131 + g.m)
+    answers = Counter()
+    for v, faults, certs in feasibility_probes(ctx):
+        if certs is not None:
+            continue  # a step-2 probe
+        target = ctx.distance(v, banned_edges=faults)
+        if target == INF:
+            continue
+        incident = set(g.incident_edges(v))
+        for collected in (
+            _incident_tree_edges(ctx.tree, v),
+            incident,
+            {e for e in incident if rng.random() < 0.5},
+        ):
+            entries = [rule.entry(v, e) for e in collected]
+            answer = rule.decide(entries, faults, target)
+            answers[answer] += 1
+            if answer is None:
+                continue
+            ban = (incident - collected) | set(faults)
+            probe = ctx.distance(v, banned_edges=ban) == target
+            assert answer == probe, (v, faults, sorted(collected))
+    if big:
+        assert answers[True] and answers[False], answers
 
 
 class TestDeterminism:

@@ -27,6 +27,7 @@ from repro.core.canonical import (
     LexShortestPaths,
     PerturbedShortestPaths,
     PythonDistanceOracle,
+    bfs_distance,
     make_engine,
     multi_source_distances,
 )
@@ -400,6 +401,136 @@ def test_c_kernel_rejects_ids_outside_range(monkeypatch):
             ck.multi_pair_dists([(0, 4, eids, verts)])
     assert ck.bfs(0, 4, [], []) == 4
     assert ck.multi_pair_dists([(0, 4, [], [3])]) == [-1]
+
+
+# ----------------------------------------------------------------------
+# the C one-pair point query behind CSRGraph.bidir_distance
+# ----------------------------------------------------------------------
+def point_tiers(csr, source, target, eids, verts):
+    """One point query per kernel tier of one snapshot: ``[C, python]``.
+
+    The snapshot must already hold its C kernel; the ``points_c``
+    counter proves the first query ran in C and the second did not.
+    """
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for mode in ("on", "off"):
+            mp.setenv("REPRO_C_KERNEL", mode)
+            before = csr.dispatch_stats["points_c"]
+            ban = csr.stamp_edge_ids(eids, verts)
+            out.append(csr.bidir_distance(source, target, ban))
+            assert csr.dispatch_stats["points_c"] - before == (mode == "on")
+    return out
+
+
+def check_point_tiers(graph, rng, trials):
+    """C == python point queries over random restrictions: edge and
+    vertex bans, a banned source or target, ``source == target``."""
+    csr = csr_of(graph)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_C_KERNEL", "on")
+        assert csr.c_kernel() is not None
+    cut = 0
+    for trial in range(trials):
+        be, bv = random_restriction(graph, rng, forbid=())
+        source = rng.randrange(graph.n)
+        target = source if trial % 5 == 0 else rng.randrange(graph.n)
+        if trial % 5 == 1:
+            bv = bv + [source if trial % 2 else target]
+        c, py = point_tiers(csr, source, target, csr.resolve_edge_ids(be), bv)
+        assert c == py, (source, target, be, bv)
+        cut += c == -1
+    return cut
+
+
+@needs_ckernel
+@zoo_params()
+def test_c_point_matches_python_kernel(name, graph):
+    rng = random.Random(29 + (hash(name) & 0xFFFF))
+    assert check_point_tiers(graph, rng, 30) > 0  # banned endpoints cut
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=18),
+    p=st.floats(min_value=0.1, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=10_000),
+    fault_seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_property_c_point_matches_python_kernel(n, p, seed, fault_seed):
+    if not c_kernel_available():
+        pytest.skip("compiled C kernel unavailable")
+    check_point_tiers(erdos_renyi(n, p, seed=seed), random.Random(fault_seed), 6)
+
+
+@needs_ckernel
+def test_c_point_cut_pairs():
+    """A pair cut by an edge ban or by a vertex ban is -1 on both tiers;
+    the same pair with the ban lifted is its plain distance."""
+    csr = csr_of(path_graph(6))
+    csr.c_kernel()
+    assert point_tiers(csr, 0, 5, csr.resolve_edge_ids([(2, 3)]), []) == [-1, -1]
+    assert point_tiers(csr, 0, 5, [], [3]) == [-1, -1]
+    assert point_tiers(csr, 5, 0, [], []) == [5, 5]
+
+
+@needs_ckernel
+def test_c_point_rejects_ids_outside_range(monkeypatch):
+    """Out-of-range and too-wide ids raise GraphError in the wrapper:
+    the library is swapped for one that fails on any call, so none of
+    them reaches C."""
+    monkeypatch.setenv("REPRO_C_KERNEL", "on")
+    csr = csr_of(path_graph(5))
+    ck = csr.c_kernel()
+    assert ck.point(0, 4, [], []) == 4
+
+    class Unreachable:
+        def __getattr__(self, name):
+            raise AssertionError(f"{name} reached C")
+
+    monkeypatch.setattr(ck, "_lib", Unreachable())
+    for bad in (2**31, 2**40, -1):
+        for args in (
+            (bad, 4, [], []),
+            (0, bad, [], []),
+            (0, 4, [bad], []),
+            (0, 4, [], [bad]),
+        ):
+            with pytest.raises(GraphError):
+                ck.point(*args)
+        live = csr.stamp_edge_ids([], [])
+        with pytest.raises(GraphError):
+            csr.bidir_distance(bad, 4, live)
+        with pytest.raises(GraphError):
+            csr.bidir_distance(0, bad, live)
+
+
+@needs_ckernel
+def test_c_point_dispatch(monkeypatch):
+    """A one-pair query runs in C only on a snapshot whose kernel a
+    search already built, under the live stamp, with C not ``off`` —
+    and never builds the kernel itself, even under ``on``."""
+    monkeypatch.setenv("REPRO_C_KERNEL", "on")
+    shared_cache().clear()
+    g = erdos_renyi(30, 0.15, seed=7)
+    csr = csr_of(g)
+    faults = sorted(g.edges())[:3]
+    want = bfs_distance(g, 0, 17, faults)
+    assert csr._ck is None and kernel_dispatch_stats(g) is None
+    CSRLexShortestPaths(g).search(0)  # the first search builds the kernel
+    assert csr._ck is not None and kernel_dispatch_stats(g)["points_c"] == 0
+    assert bfs_distance(g, 0, 17, faults) == want
+    assert DistanceOracle(g).distance(0, 17, faults) == want
+    assert kernel_dispatch_stats(g)["points_c"] == 2
+    monkeypatch.setenv("REPRO_C_KERNEL", "off")
+    assert bfs_distance(g, 0, 17, faults) == want
+    assert csr.dispatch_stats["points_c"] == 2
+    monkeypatch.setenv("REPRO_C_KERNEL", "on")
+    # an older stamp than the live one stays on the python kernel
+    cut = csr.stamp_edge_ids(csr.resolve_edge_ids(g.incident_edges(17)), [])
+    csr.stamp_edge_ids([], [])
+    assert csr.bidir_distance(0, 17, cut) == -1
+    assert csr.dispatch_stats["points_c"] == 2
 
 
 @needs_ckernel

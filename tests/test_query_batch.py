@@ -30,7 +30,7 @@ from repro.ftbfs.cons2ftbfs import build_cons2ftbfs, feasibility_probes
 from repro.generators import erdos_renyi, path_graph, tree_plus_chords
 from repro.replacement.base import SourceContext
 
-from tests.zoo import zoo_params
+from tests.zoo import CONS2_SHAPES, zoo_params
 
 
 #: C-tier cases are skipped (not silently dropped) where the compiled
@@ -413,18 +413,6 @@ def test_repair_cap_controls_strategy(monkeypatch):
         else:
             assert repaired > baseline_repaired
     assert results["0"] == results["100000"]
-
-
-#: Build shapes for the batched-vs-scalar identity check, keyed by test
-#: id prefix (the small default shape has none).  ``er-dense`` has many
-#: step-3 new-ending events, i.e. d_restricted restrictions that shrink
-#: mid-loop.
-CONS2_SHAPES = {
-    "": lambda: tree_plus_chords(40, 18, seed=6),
-    "chords-": lambda: tree_plus_chords(120, 45, seed=6),
-    "er-sparse-": lambda: erdos_renyi(90, 0.05, seed=11),
-    "er-dense-": lambda: erdos_renyi(70, 0.14, seed=3),
-}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the query server and its wire protocol (repro.serve)."""
 
 import json
+import math
 import os
 import socket
 import struct
@@ -93,6 +94,28 @@ class TestServerStats:
         assert ep["count"] == ServerStats.MAX_SAMPLES + 100
         # Oldest 100 samples evicted: the minimum retained is 100.0.
         assert ep["p50_ms"] >= 100.0 * 1000.0
+
+    def test_percentiles_cover_the_last_window(self):
+        """Past the cap, p50/p99 are the nearest-rank percentiles of
+        exactly the last MAX_SAMPLES samples, however many came before."""
+        import random
+
+        cap = ServerStats.MAX_SAMPLES
+        rng = random.Random(7)
+        samples = [rng.expovariate(1000.0) for _ in range(3 * cap + 17)]
+        stats = ServerStats()
+        for i, seconds in enumerate(samples):
+            stats.record("point", seconds, error=(i % 5 == 0))
+        ep = stats.snapshot()["endpoints"]["point"]
+        assert ep["count"] == len(samples)
+        assert ep["errors"] == len(range(0, len(samples), 5))
+        window = sorted(samples[-cap:])
+
+        def nearest_rank(q):  # rank round(q * k), 1-based, as served
+            return window[max(1, math.floor(q * len(window) + 0.5)) - 1]
+
+        assert ep["p50_ms"] == 1000.0 * nearest_rank(0.50)
+        assert ep["p99_ms"] == 1000.0 * nearest_rank(0.99)
 
     def test_format_stats_renders_every_endpoint(self):
         stats = ServerStats()

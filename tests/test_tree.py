@@ -94,6 +94,20 @@ def test_is_ancestor():
     assert not tree.is_ancestor(4, 1)
 
 
+@zoo_params()
+def test_euler_intervals_match_tree_paths(name, graph):
+    """The O(1) interval test is "a lies on π(s, v)", vertex for vertex,
+    and each interval spans exactly its subtree."""
+    for source in (0, graph.n - 1):
+        tree = BFSTree(graph, source)
+        tin, tout = tree.euler_intervals()
+        for v in graph.vertices():
+            on_pi = set(tree.pi(v).vertices)
+            for a in graph.vertices():
+                assert tree.is_ancestor(a, v) == (a in on_pi)
+            assert tout[v] - tin[v] == len(tree.subtree(v))
+
+
 def test_unreachable_vertices():
     g = Graph(4, [(0, 1)])
     tree = BFSTree(g, 0)

@@ -42,6 +42,19 @@ def graph_zoo():
     ]
 
 
+#: Cons2FTBFS build shapes, keyed by test id prefix (the small default
+#: shape has none): the batched-vs-scalar identity check and the step-3
+#: depth-rule check run on each.  ``er-dense`` has many step-3
+#: new-ending events, i.e. d_restricted restrictions that shrink
+#: mid-loop.
+CONS2_SHAPES = {
+    "": lambda: tree_plus_chords(40, 18, seed=6),
+    "chords-": lambda: tree_plus_chords(120, 45, seed=6),
+    "er-sparse-": lambda: erdos_renyi(90, 0.05, seed=11),
+    "er-dense-": lambda: erdos_renyi(70, 0.14, seed=3),
+}
+
+
 def zoo_params():
     zoo = graph_zoo()
     return pytest.mark.parametrize("name,graph", zoo, ids=[name for name, _ in zoo])
