@@ -22,13 +22,7 @@ Dependency policy:
   records its version); CI installs via ``pip install -e .[test]``.
 """
 
-import sys
-
 from setuptools import Extension, find_packages, setup
-
-# The threaded multi-pair entry point uses pthreads everywhere but
-# Windows (where the C source compiles its serial fallback).
-_thread_flags = [] if sys.platform == "win32" else ["-pthread"]
 
 setup(
     name="repro-parter15",
@@ -45,8 +39,6 @@ setup(
             "repro.core._ckernel",
             sources=["src/repro/core/_ckernel.c"],
             define_macros=[("REPRO_CKERNEL_PYMODULE", "1")],
-            extra_compile_args=_thread_flags,
-            extra_link_args=_thread_flags,
             # No compiler / broken toolchain must not fail the install:
             # repro.core.ckernel falls back to an on-demand build and
             # then to the python kernel.

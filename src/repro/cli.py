@@ -50,7 +50,7 @@ is cleared before every timed round so no engine is measured against
 another's warm cache.  ``bench --sources K --jobs J`` times a σ=K
 FT-MBFS build and adds a parallel arm per engine that re-runs it
 sharded over a J-worker process pool (:mod:`repro.core.parallel`),
-printing the effective jobs/threads, the speedup vs ``--jobs 1`` and
+printing the effective jobs, the speedup vs ``--jobs 1`` and
 the merge overhead; on a 1-core host the parallel arm is skipped with
 a note instead of reporting noise.
 
@@ -340,16 +340,7 @@ def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
         return "python (weighted heap)"
     if engine == "wlex-csr":
         return "csr (weighted dial; reference heap otherwise)"
-    stats = stats or {}
-    served = []
-    if stats.get("pairs_c_mt"):
-        served.append("c-mt")
-    if any(
-        stats.get(key)
-        for key in ("searches_c", "full_sweeps_c", "points_c", "pairs_c")
-    ):
-        served.append("c")
-    return "+".join(served) if served else "csr"
+    return "c" if stats and any(stats.values()) else "csr"
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -367,14 +358,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     re-times the same build with a J-worker pool and reports the
     speedup and merge overhead next to the serial time.  On a 1-core
     host the parallel arm is skipped with a note instead of reporting
-    noise.  Each arm also prints the effective jobs and C kernel
-    thread counts actually in force.
+    noise.  Each arm also prints the effective job count actually in
+    force.
     """
     import json
     import time
 
     from repro.core import parallel
-    from repro.core.ckernel import c_thread_count
     from repro.core.csr import kernel_dispatch_stats
     from repro.core.snapshot_cache import shared_cache
 
@@ -400,7 +390,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 2
     source_list = list(range(min(sigma, graph.n)))
     jobs = parallel.effective_jobs(args.jobs)
-    c_threads = c_thread_count()
     multicore = (os.cpu_count() or 1) > 1
     parallel_wanted = jobs > 1 and sigma > 1
 
@@ -437,10 +426,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             # not cumulative).
             cache_stats = shared_cache().stats()
             tier_stats = kernel_dispatch_stats(graph)
-        par: Dict[str, object] = {
-            "jobs": jobs,
-            "c_threads": c_threads,
-        }
+        par: Dict[str, object] = {"jobs": jobs}
         if not parallel_wanted:
             par["skipped"] = (
                 "jobs=1 (serial)" if jobs <= 1 else "sources=1 (nothing to shard)"
@@ -503,17 +489,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"             kernel: {tier} — searches "
                 f"{ds.get('searches_c', 0)} c, full sweeps "
                 f"{ds.get('full_sweeps_c', 0)} c; points "
-                f"{ds.get('points_c', 0)} c; pairs "
-                f"{ds.get('pairs_c_mt', 0)} c-mt / {ds['pairs_c']} c"
+                f"{ds.get('points_c', 0)} c; pairs {ds['pairs_c']} c"
             )
         else:
             print(f"             kernel: {tier}")
         pr = r.get("parallel") or {}
         if "skipped" in pr:
-            print(
-                f"             parallel: skipped ({pr['skipped']}); "
-                f"c-threads {pr['c_threads']}"
-            )
+            print(f"             parallel: skipped ({pr['skipped']})")
         elif "seconds" in pr:
             note = ""
             if pr.get("degraded"):
@@ -522,8 +504,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 note = ", MISMATCH vs jobs=1"
             print(
                 f"             parallel: jobs {pr['jobs']} "
-                f"(effective {pr['effective_jobs']}), "
-                f"c-threads {pr['c_threads']} — "
+                f"(effective {pr['effective_jobs']}) — "
                 f"{1000.0 * pr['seconds']:.1f} ms, "
                 f"{pr['speedup_vs_serial']:.2f}x vs jobs=1, "
                 f"merge {1000.0 * pr['merge_seconds']:.1f} ms{note}"
@@ -544,7 +525,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "rounds": rounds,
             "sources": sigma,
             "jobs": jobs,
-            "c_threads": c_threads,
             "results": results,
         }
         json_out = resolve_out(args.json)

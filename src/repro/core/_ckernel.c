@@ -13,7 +13,7 @@
  * parent, which is the lex-minimal canonical tree (argument in the
  * docstring of repro/core/csr.py), stopping at the target's discovery.
  *
- * repro_point and the multi-pair kernels port the scalar reference
+ * repro_point and repro_multi_pair_dists port the scalar reference
  * (CSRGraph.bidir_distance) through one shared search, bidir_one:
  *
  *  - meet-in-the-middle search growing the smaller frontier (ties to
@@ -38,13 +38,6 @@
  */
 
 #include <stdint.h>
-
-#ifndef _WIN32
-/* The threaded multi-pair entry point (repro_multi_pair_dists_mt)
- * partitions one batch across a pthread worker pool; Windows builds
- * fall back to running the same range loop serially. */
-#include <pthread.h>
-#endif
 
 #ifdef REPRO_CKERNEL_PYMODULE
 /* setup.py builds this file as the importable extension module
@@ -79,7 +72,7 @@ PyInit__ckernel(void)
 /* Bumped whenever an exported signature changes; the ctypes wrapper
  * refuses a library whose ABI tag it does not recognize (stale cached
  * build of an older source). */
-#define REPRO_CKERNEL_ABI 6
+#define REPRO_CKERNEL_ABI 7
 
 REPRO_EXPORT int64_t
 repro_ckernel_abi(void)
@@ -268,49 +261,6 @@ repro_point(const point_ctx *c, int32_t source, int32_t target,
                      c->ft_next);
 }
 
-/* The shared strided loop behind both multi-pair entry points:
- * queries q_start, q_start + q_step, ... below nq, each stamping its
- * bans at generation gen_base + q + 1 into the caller-supplied
- * scratch.  The generation is a function of the *global* query index,
- * not the stride, so a batch interleaved across threads with disjoint
- * scratch stamps exactly the generations the serial loop would —
- * results are bit-identical for any (start, step) partition.  The
- * interleaving (vs the old contiguous range split) is what keeps a
- * skewed batch from idling cores: expensive queries cluster (one
- * fault-set group's probes arrive adjacent), and a round-robin deal
- * spreads each cluster across every thread. */
-static void
-pair_range(const int64_t *indptr, const int32_t *nbr,
-           const int32_t *arc_eid, int64_t nq,
-           const int32_t *q_src, const int32_t *q_tgt,
-           const int64_t *eb_off, const int32_t *eb_ids,
-           const int64_t *vb_off, const int32_t *vb_ids,
-           int64_t gen_base, int64_t q_start, int64_t q_step,
-           int64_t *visit_s, int32_t *dist_s,
-           int64_t *visit_t, int32_t *dist_t,
-           int64_t *eban, int64_t *vban,
-           int32_t *fs, int32_t *fs_next,
-           int32_t *ft, int32_t *ft_next,
-           int32_t *out)
-{
-    for (int64_t q = q_start; q < nq; q += q_step) {
-        int64_t gen = gen_base + q + 1;
-        int have_e = 0, have_v = 0;
-        for (int64_t i = eb_off[q]; i < eb_off[q + 1]; i++) {
-            eban[eb_ids[i]] = gen;
-            have_e = 1;
-        }
-        for (int64_t i = vb_off[q]; i < vb_off[q + 1]; i++) {
-            vban[vb_ids[i]] = gen;
-            have_v = 1;
-        }
-        out[q] = (int32_t)bidir_one(indptr, nbr, arc_eid, q_src[q], q_tgt[q],
-                                    gen, have_e, have_v, visit_s, dist_s,
-                                    visit_t, dist_t, eban, vban, fs, fs_next,
-                                    ft, ft_next);
-    }
-}
-
 /* Many independent restricted point queries, each with its own
  * restriction.  Per-query bans arrive concatenated with offset tables
  * (eb_ids[eb_off[q] .. eb_off[q+1]) are query q's banned edge ids,
@@ -330,136 +280,20 @@ repro_multi_pair_dists(const int64_t *indptr, const int32_t *nbr,
                        int32_t *ft, int32_t *ft_next,
                        int32_t *out)
 {
-    pair_range(indptr, nbr, arc_eid, nq, q_src, q_tgt, eb_off, eb_ids,
-               vb_off, vb_ids, gen_base, 0, 1, visit_s, dist_s, visit_t,
-               dist_t, eban, vban, fs, fs_next, ft, ft_next, out);
-}
-
-/* One thread's interleaved share of a threaded multi-pair batch: its
- * (start, step) stride plus pointers to that thread's private scratch
- * slabs. */
-typedef struct {
-    const int64_t *indptr;
-    const int32_t *nbr;
-    const int32_t *arc_eid;
-    int64_t nq;
-    const int32_t *q_src;
-    const int32_t *q_tgt;
-    const int64_t *eb_off;
-    const int32_t *eb_ids;
-    const int64_t *vb_off;
-    const int32_t *vb_ids;
-    int64_t gen_base;
-    int64_t q_start;
-    int64_t q_step;
-    int64_t *visit_s;
-    int32_t *dist_s;
-    int64_t *visit_t;
-    int32_t *dist_t;
-    int64_t *eban;
-    int64_t *vban;
-    int32_t *fr; /* 4 frontier buffers of n entries each */
-    int64_t n;
-    int32_t *out;
-} pair_job;
-
-static void
-pair_job_run(pair_job *j)
-{
-    pair_range(j->indptr, j->nbr, j->arc_eid, j->nq, j->q_src, j->q_tgt,
-               j->eb_off, j->eb_ids, j->vb_off, j->vb_ids, j->gen_base,
-               j->q_start, j->q_step, j->visit_s, j->dist_s, j->visit_t,
-               j->dist_t, j->eban, j->vban, j->fr, j->fr + j->n,
-               j->fr + 2 * j->n, j->fr + 3 * j->n, j->out);
-}
-
-#ifndef _WIN32
-static void *
-pair_job_thread(void *arg)
-{
-    pair_job_run((pair_job *)arg);
-    return NULL;
-}
-#endif
-
-/* Threaded variant of repro_multi_pair_dists: thread t serves the
- * interleaved queries t, t + nthreads, t + 2*nthreads, ... against its
- * own scratch slabs (slab t starts at offset t*n — or t*m for eban,
- * t*4*n for the frontier block; m is the caller's per-thread eban
- * stride, its edge-id address bound).  The round-robin deal replaces
- * the old contiguous range split, which left cores idle on skewed
- * batches where expensive queries cluster.  Queries never share
- * scratch, each writes only out[q], and generations are a function of
- * the global query index (see pair_range), so results are
- * bit-identical to the serial entry point for any thread count.  The
- * caller holds no lock during the call (ctypes releases the GIL); it
- * only promises the scratch slabs are not used concurrently by
- * anything else.  Thread-creation failure degrades that stride to
- * inline execution — slower, never wrong. */
-REPRO_EXPORT void
-repro_multi_pair_dists_mt(const int64_t *indptr, const int32_t *nbr,
-                          const int32_t *arc_eid, int64_t nq,
-                          const int32_t *q_src, const int32_t *q_tgt,
-                          const int64_t *eb_off, const int32_t *eb_ids,
-                          const int64_t *vb_off, const int32_t *vb_ids,
-                          int64_t gen_base, int64_t nthreads,
-                          int64_t n, int64_t m,
-                          int64_t *visit_s, int32_t *dist_s,
-                          int64_t *visit_t, int32_t *dist_t,
-                          int64_t *eban, int64_t *vban,
-                          int32_t *frontiers,
-                          int32_t *out)
-{
-    enum { MT_MAX_THREADS = 64 };
-    if (nthreads > nq)
-        nthreads = nq;
-    if (nthreads > MT_MAX_THREADS)
-        nthreads = MT_MAX_THREADS;
-    if (nthreads < 1)
-        nthreads = 1;
-    pair_job jobs[MT_MAX_THREADS];
-    for (int64_t t = 0; t < nthreads; t++) {
-        pair_job *j = &jobs[t];
-        j->indptr = indptr;
-        j->nbr = nbr;
-        j->arc_eid = arc_eid;
-        j->nq = nq;
-        j->q_src = q_src;
-        j->q_tgt = q_tgt;
-        j->eb_off = eb_off;
-        j->eb_ids = eb_ids;
-        j->vb_off = vb_off;
-        j->vb_ids = vb_ids;
-        j->gen_base = gen_base;
-        j->q_start = t;
-        j->q_step = nthreads;
-        j->visit_s = visit_s + t * n;
-        j->dist_s = dist_s + t * n;
-        j->visit_t = visit_t + t * n;
-        j->dist_t = dist_t + t * n;
-        j->eban = eban + t * m;
-        j->vban = vban + t * n;
-        j->fr = frontiers + t * 4 * n;
-        j->n = n;
-        j->out = out;
+    for (int64_t q = 0; q < nq; q++) {
+        int64_t gen = gen_base + q + 1;
+        int have_e = 0, have_v = 0;
+        for (int64_t i = eb_off[q]; i < eb_off[q + 1]; i++) {
+            eban[eb_ids[i]] = gen;
+            have_e = 1;
+        }
+        for (int64_t i = vb_off[q]; i < vb_off[q + 1]; i++) {
+            vban[vb_ids[i]] = gen;
+            have_v = 1;
+        }
+        out[q] = (int32_t)bidir_one(indptr, nbr, arc_eid, q_src[q], q_tgt[q],
+                                    gen, have_e, have_v, visit_s, dist_s,
+                                    visit_t, dist_t, eban, vban, fs, fs_next,
+                                    ft, ft_next);
     }
-#ifndef _WIN32
-    pthread_t tids[MT_MAX_THREADS];
-    int started[MT_MAX_THREADS];
-    /* Slice 0 runs on the calling thread; failed spawns run inline
-     * afterwards (correctness never depends on parallelism). */
-    for (int64_t t = 1; t < nthreads; t++)
-        started[t] = pthread_create(&tids[t], NULL, pair_job_thread,
-                                    &jobs[t]) == 0;
-    pair_job_run(&jobs[0]);
-    for (int64_t t = 1; t < nthreads; t++) {
-        if (started[t])
-            pthread_join(tids[t], NULL);
-        else
-            pair_job_run(&jobs[t]);
-    }
-#else
-    for (int64_t t = 0; t < nthreads; t++)
-        pair_job_run(&jobs[t]);
-#endif
 }

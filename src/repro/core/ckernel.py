@@ -45,17 +45,6 @@ Environment knobs (see ``docs/tuning.md``):
 ``REPRO_C_KERNEL_CACHE``
     Directory for on-demand build artifacts (default:
     ``~/.cache/repro-parter15``, falling back to the temp dir).
-``REPRO_C_THREADS``
-    Worker threads for one :meth:`CKernel.multi_pair_dists` batch
-    (default ``1``; ``auto``/``0`` = one per CPU).  The C side deals
-    queries round-robin across a pthread pool with disjoint
-    per-thread scratch — results stay bit-identical to the serial
-    entry point — and ctypes releases the GIL for the call, so the
-    threads run truly in parallel.
-``REPRO_C_MT_MIN``
-    Minimum batch size (queries) before a multi-threaded dispatch is
-    worth its thread-spawn cost (default ``2048``); smaller batches
-    stay on the serial C entry point.
 """
 
 from __future__ import annotations
@@ -76,15 +65,7 @@ from repro.core.errors import GraphError
 
 #: ABI tag the wrapper expects; must match the ABI macro in
 #: ``_ckernel.c`` (a mismatched cached build is rejected and rebuilt).
-ABI = 6
-
-#: Default ``REPRO_C_MT_MIN``: below this many queries per batch the
-#: serial C entry point wins (thread spawn ~tens of µs vs ~1 µs/pair).
-DEFAULT_MT_MIN = 2048
-
-#: Hard cap on threads per batch; must match MT_MAX_THREADS in the C
-#: source (the C side clamps too — this keeps scratch allocation sane).
-MAX_C_THREADS = 64
+ABI = 7
 
 _P64 = ctypes.POINTER(ctypes.c_int64)
 _P32 = ctypes.POINTER(ctypes.c_int32)
@@ -125,45 +106,6 @@ def c_kernel_mode() -> str:
     return mode if mode in ("auto", "on", "off") else "auto"
 
 
-def c_thread_count() -> int:
-    """The ``REPRO_C_THREADS`` worker-thread count (>= 1).
-
-    ``auto`` or ``0`` mean one thread per CPU; unparsable values and
-    values below 1 resolve to 1 (serial).  Capped at
-    :data:`MAX_C_THREADS` to match the C side's fixed job table.
-    """
-    raw = os.environ.get("REPRO_C_THREADS", "1").strip().lower()
-    if raw in ("auto", "0"):
-        t = os.cpu_count() or 1
-    else:
-        try:
-            t = int(raw)
-        except ValueError:
-            t = 1
-    return max(1, min(t, MAX_C_THREADS))
-
-
-def mt_min_batch() -> int:
-    """Minimum queries per batch for a threaded dispatch (``REPRO_C_MT_MIN``)."""
-    try:
-        return int(os.environ.get("REPRO_C_MT_MIN", str(DEFAULT_MT_MIN)))
-    except ValueError:
-        return DEFAULT_MT_MIN
-
-
-def plan_c_threads(nq: int) -> int:
-    """Threads a ``multi_pair_dists`` batch of ``nq`` queries should use.
-
-    1 unless ``REPRO_C_THREADS`` asks for more *and* the batch clears
-    the ``REPRO_C_MT_MIN`` break-even size; never more threads than
-    queries.  Pure planning — reading it does not touch the library.
-    """
-    t = c_thread_count()
-    if t <= 1 or nq < max(2, mt_min_batch()):
-        return 1
-    return min(t, nq)
-
-
 def _source_path() -> pathlib.Path:
     return pathlib.Path(__file__).with_name("_ckernel.c")
 
@@ -174,7 +116,7 @@ def _compiler() -> str:
         return cc
     cc = sysconfig.get_config_var("CC")
     if cc:
-        return cc.split()[0]  # "gcc -pthread" → "gcc"
+        return cc.split()[0]  # the compiler, without its configured flags
     return "cc"
 
 
@@ -224,17 +166,6 @@ def _configure(lib: ctypes.CDLL) -> Tuple[Optional[ctypes.CDLL], str]:
         _P64, _P32, _P64, _P32,  # visit_s, dist_s, visit_t, dist_t
         _P64, _P64,  # eban, vban
         _P32, _P32, _P32, _P32,  # four frontier buffers
-        _P32,  # out
-    ]
-    lib.repro_multi_pair_dists_mt.restype = None
-    lib.repro_multi_pair_dists_mt.argtypes = [
-        _P64, _P32, _P32,  # indptr, nbr, arc_eid
-        c64, _P32, _P32,  # nq, q_src, q_tgt
-        _P64, _P32, _P64, _P32,  # eb_off, eb_ids, vb_off, vb_ids
-        c64, c64, c64, c64,  # gen_base, nthreads, n, m
-        _P64, _P32, _P64, _P32,  # visit_s, dist_s, visit_t, dist_t (T×n)
-        _P64, _P64,  # eban (T×m), vban (T×n)
-        _P32,  # frontier block (T×4×n)
         _P32,  # out
     ]
     return lib, "ok"
@@ -309,8 +240,7 @@ def _build_on_demand() -> Tuple[Optional[ctypes.CDLL], str]:
             return None, _build_failures[tag]
         tmp = base / f"_ckernel-{tag}.{os.getpid()}.tmp.so"
         cmd = [
-            *cc.split(), "-O2", "-shared", "-fPIC", "-pthread",
-            "-o", str(tmp), str(src),
+            *cc.split(), "-O2", "-shared", "-fPIC", "-o", str(tmp), str(src),
         ]
         try:
             proc = subprocess.run(
@@ -451,9 +381,6 @@ class CKernel:
         "_p_dist",
         "_p_parent",
         "_p_point",
-        "_mt_threads",
-        "_mt_scratch_arrays",
-        "_p_mt",
     )
 
     def __init__(
@@ -515,32 +442,6 @@ class CKernel:
         # The pointer keeps its struct alive; the struct's pointers are
         # the buffers above, which live as long as this kernel.
         self._p_point = ctypes.pointer(_PointCtx(*self._p_topo, *self._p_pair))
-        # Threaded multi-pair scratch: T disjoint slabs, allocated
-        # lazily at the first threaded dispatch and regrown when the
-        # thread count rises.  Fresh slabs start at stamp -1, below
-        # every generation (gens start at 1 and only grow), so growth
-        # never resurrects stale entries.
-        self._mt_threads = 0
-        self._mt_scratch_arrays = None
-        self._p_mt = None
-
-    def _mt_scratch(self, threads: int) -> None:
-        """Ensure the per-thread scratch slabs cover ``threads`` slices."""
-        if threads <= self._mt_threads:
-            return
-        n = max(self.n, 1)
-        slabs = (
-            (_filled("q", -1, threads * n), _P64),  # visit_s
-            (_filled("i", 0, threads * n), _P32),  # dist_s
-            (_filled("q", -1, threads * n), _P64),  # visit_t
-            (_filled("i", 0, threads * n), _P32),  # dist_t
-            (_filled("q", -1, threads * self.m), _P64),  # eban
-            (_filled("q", -1, threads * n), _P64),  # vban
-            (_filled("i", 0, threads * 4 * n), _P32),  # frontiers
-        )
-        self._mt_scratch_arrays = [buf for buf, _ in slabs]
-        self._p_mt = tuple(_ptr(buf, ptype) for buf, ptype in slabs)
-        self._mt_threads = threads
 
     # ------------------------------------------------------------------
     # restricted canonical search
@@ -660,24 +561,14 @@ class CKernel:
     def multi_pair_dists(
         self,
         queries: Sequence[Tuple[int, int, Sequence[int], Sequence[int]]],
-        threads: int = 1,
     ) -> List[int]:
         """Exact hops for many independent restricted point queries.
 
         ``(source, target, banned_edge_ids, banned_vertices)`` per
         query, ``-1`` where the restriction cuts the pair — the C
         execution of :meth:`repro.core.csr.CSRGraph.multi_pair_dists`.
-        The whole batch is one C call: the per-query fixed cost is a
-        function call.
-
-        With ``threads > 1`` the batch runs on the threaded C entry
-        point (``repro_multi_pair_dists_mt``): interleaved (strided)
-        query assignment — thread ``t`` serves queries ``t``,
-        ``t + threads``, ... — on a pthread pool, each thread against
-        its own scratch slab, with the GIL released for the duration
-        of the call.  Scratch generations are keyed on the *global*
-        query index, so results are bit-identical for every thread
-        count (callers usually let :func:`plan_c_threads` pick).
+        The whole batch is one C call (``repro_multi_pair_dists``): the
+        per-query fixed cost is a function call.
         """
         nq = len(queries)
         if nq == 0:
@@ -708,21 +599,7 @@ class CKernel:
         out = _filled("i", 0, nq)
         gen_base = self._gen
         self._gen = gen_base + nq
-        threads = max(1, min(int(threads), nq, MAX_C_THREADS))
-        if threads > 1:
-            self._mt_scratch(threads)
-            self._lib.repro_multi_pair_dists_mt(
-                *self._p_topo,
-                *batch,
-                gen_base,
-                threads,
-                max(n, 1),
-                self.m,
-                *self._p_mt,
-                _ptr(out, _P32),
-            )
-        else:
-            self._lib.repro_multi_pair_dists(
-                *self._p_topo, *batch, gen_base, *self._p_pair, _ptr(out, _P32)
-            )
+        self._lib.repro_multi_pair_dists(
+            *self._p_topo, *batch, gen_base, *self._p_pair, _ptr(out, _P32)
+        )
         return out.tolist()

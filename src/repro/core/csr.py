@@ -79,7 +79,7 @@ from array import array
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.ckernel import CKernel, c_kernel_mode, load_c_library, plan_c_threads
+from repro.core.ckernel import CKernel, c_kernel_mode, load_c_library
 from repro.core.errors import GraphError
 from repro.core.graph import Edge, Graph
 
@@ -144,25 +144,21 @@ def kernel_dispatch_stats(graph: Graph, reset: bool = False):
 
     Returns a copy of the snapshot's ``dispatch_stats`` — how many
     searches (``searches_c``), full sweeps (``full_sweeps_c``), one-pair
-    point queries (``points_c``) and multi-pair queries (``pairs_c``,
-    ``pairs_c_mt`` and its per-thread split) ran in C — so
-    auto-dispatch decisions are observable after
-    the fact (``repro bench`` and the E16 benchmark report them per
-    arm).  ``reset`` zeroes the live counters after copying.  ``None``
-    exactly when the snapshot holds no C kernel (the python kernel
-    served everything).
+    point queries (``points_c``) and multi-pair queries (``pairs_c``)
+    ran in C — so auto-dispatch decisions are observable after the
+    fact (``repro bench`` and the E16 benchmark report them per arm).
+    ``reset`` zeroes the live counters after copying.  ``None`` exactly
+    when the snapshot holds no C kernel (the python kernel served
+    everything).
     """
     csr = graph._csr_cache
     if csr is None or csr._ck is None:
         return None
     live = csr.dispatch_stats
-    stats = {
-        key: (dict(value) if isinstance(value, dict) else value)
-        for key, value in live.items()
-    }
+    stats = dict(live)
     if reset:
-        for key, value in live.items():
-            live[key] = {} if isinstance(value, dict) else 0
+        for key in live:
+            live[key] = 0
     return stats
 
 
@@ -340,11 +336,6 @@ class CSRGraph:
             "full_sweeps_c": 0,
             "points_c": 0,
             "pairs_c": 0,
-            "pairs_c_mt": 0,
-            # thread index -> pairs served by that thread under the
-            # strided multi-pair split (observability for the
-            # interleaved assignment; sums to pairs_c_mt).
-            "pairs_c_mt_threads": {},
         }
         self._visit = [UNREACHED] * n
         self._dist = [0] * n
@@ -898,10 +889,9 @@ class CSRGraph:
         (``-1`` = cut).
 
         One C call for the whole batch whenever :meth:`c_kernel` serves
-        the snapshot — on the threaded entry point once the batch
-        clears the ``REPRO_C_THREADS`` / ``REPRO_C_MT_MIN`` bar — and
-        otherwise one stamping and one :meth:`bidir_distance` per
-        query.  Bit-identical either way (same exactness argument).
+        the snapshot, and otherwise one stamping and one
+        :meth:`bidir_distance` per query.  Bit-identical either way
+        (same exactness argument).
         """
         ck = self.c_kernel()
         if ck is None:
@@ -910,17 +900,8 @@ class CSRGraph:
             return [
                 bidir(s, t, stamp(eids, verts)) for s, t, eids, verts in queries
             ]
-        threads = plan_c_threads(len(queries))
-        stats = self.dispatch_stats
-        if threads > 1:
-            stats["pairs_c_mt"] += len(queries)
-            # Interleaved split: thread t serves queries t, t+T, ...
-            per = stats["pairs_c_mt_threads"]
-            for t in range(threads):
-                per[t] = per.get(t, 0) + len(range(t, len(queries), threads))
-        else:
-            stats["pairs_c"] += len(queries)
-        return ck.multi_pair_dists(queries, threads=threads)
+        self.dispatch_stats["pairs_c"] += len(queries)
+        return ck.multi_pair_dists(queries)
 
 
 class DeltaCSRGraph(CSRGraph):

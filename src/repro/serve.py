@@ -18,12 +18,11 @@ over a local socket for as long as it lives.  The moving parts:
   :class:`~repro.ftbfs.oracle.FTQueryOracle` — ``batch`` requests ride
   the :class:`~repro.core.query_batch.PointQueryBatch` planner, so a
   served batch gets the same plan→dedupe→group pipeline and kernel
-  ladder (one C multi-pair call, threaded under ``REPRO_C_THREADS``)
-  as an in-process caller.  The accept loop is threaded (one thread per
-  connection), but query execution itself is serialized behind one
-  lock: the CSR kernel's pooled scratch is deliberately per-snapshot,
-  not per-thread, and the C tier parallelizes *inside* a batch where
-  the speedup actually is.
+  ladder (one C multi-pair call for the residue) as an in-process
+  caller.  The accept loop is threaded (one thread per connection),
+  but query execution itself is serialized behind one lock: the CSR
+  kernel's pooled scratch belongs to the snapshot, not to a thread,
+  so two handler threads must never search it at once.
 
 * **Accounting.**  Per-endpoint request counts, error counts, QPS and
   p50/p99 latency (:class:`ServerStats`) are served to any client via
@@ -287,7 +286,7 @@ class QueryServer:
         self._stopped = threading.Event()
         # The CSR kernel's pooled scratch is per-snapshot, not
         # per-thread — concurrent handler threads must take turns on
-        # the oracle (the C tier parallelizes *inside* a batch).
+        # the oracle.
         self._qlock = threading.Lock()
         self._ops = {
             "ping": self._op_ping,

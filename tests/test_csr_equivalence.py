@@ -534,6 +534,27 @@ def test_c_point_dispatch(monkeypatch):
 
 
 @needs_ckernel
+def test_dispatch_counter_surface(monkeypatch):
+    """After a cold ``lex-csr`` build, ``kernel_dispatch_stats`` holds
+    exactly the four C counters, all ints, and ``reset=True`` returns
+    them while zeroing every live counter.  perfbench reads these keys
+    with ``.get``, so a renamed key would silently read 0."""
+    from repro.ftbfs.cons2ftbfs import build_cons2ftbfs
+
+    monkeypatch.setenv("REPRO_C_KERNEL", "on")
+    shared_cache().clear()
+    g = erdos_renyi(40, 0.12, seed=9)
+    build_cons2ftbfs(g, 0, engine="lex-csr")
+    keys = {"searches_c", "full_sweeps_c", "points_c", "pairs_c"}
+    stats = kernel_dispatch_stats(g)
+    assert set(stats) == keys
+    assert all(type(value) is int for value in stats.values())
+    assert stats["pairs_c"] > 0
+    assert kernel_dispatch_stats(g, reset=True) == stats
+    assert csr_of(g).dispatch_stats == dict.fromkeys(keys, 0)
+
+
+@needs_ckernel
 @pytest.mark.parametrize("factory", [CSRLexShortestPaths], ids=["csr"])
 def test_c_engine_memo_promotion_matches_legacy(factory, monkeypatch):
     """With C required, engine searches — target-stopped, served from

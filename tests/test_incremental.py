@@ -19,7 +19,6 @@ from repro.core import csr as csr_module
 from repro.core import delta as delta_module
 from repro.core import parallel
 from repro.core.canonical import ENGINES, DistanceOracle, make_engine
-from repro.core.ckernel import c_kernel_available
 from repro.core.csr import CSRGraph, DeltaCSRGraph, csr_of
 from repro.core.errors import GraphError
 from repro.core.graph import Graph
@@ -27,10 +26,6 @@ from repro.core.snapshot_cache import shared_cache
 from repro.ftbfs import FTQueryOracle, build_cons2ftbfs
 from repro.generators import erdos_renyi
 from repro.replacement.base import SourceContext
-
-needs_c = pytest.mark.skipif(
-    not c_kernel_available(), reason="compiled C kernel unavailable"
-)
 
 #: Every canonical hop engine arm, kernel ladder order.
 ENGINE_ARMS = ["lex", "lex-csr"]
@@ -474,32 +469,6 @@ class TestMutationAfterLoad:
                 fresh
             ).distances_from(0)
             del adopted
-
-
-# ----------------------------------------------------------------------
-# satellite: interleaved thread assignment in the C multi-pair kernel
-# ----------------------------------------------------------------------
-@needs_c
-def test_strided_mt_per_thread_counts(monkeypatch):
-    """The round-robin deal must show up in dispatch_stats — one count
-    per thread, summing to the mt pair total — without changing any
-    answer (bit-identity vs serial is test_parallel's job; the counts
-    are this PR's)."""
-    from repro.core.csr import kernel_dispatch_stats
-
-    monkeypatch.setenv("REPRO_C_THREADS", "3")
-    monkeypatch.setenv("REPRO_C_MT_MIN", "1")
-    g = erdos_renyi(80, 0.07, seed=21)
-    shared_cache().clear()
-    kernel_dispatch_stats(g, reset=True)
-    build_cons2ftbfs(g, 0, engine="lex-csr")
-    stats = kernel_dispatch_stats(g)
-    assert stats is not None and stats["pairs_c_mt"] > 0
-    per = stats["pairs_c_mt_threads"]
-    assert per and set(per) <= {0, 1, 2}
-    assert sum(per.values()) == stats["pairs_c_mt"]
-    # the round-robin deal keeps every engaged thread busy
-    assert all(count > 0 for count in per.values())
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,11 @@
-"""Process-pool sharding and the threaded C kernel: bit-identity + safety.
+"""Process-pool sharding: bit-identity + safety.
 
-The contract of :mod:`repro.core.parallel` (and of the ``nthreads``
-axis of the C kernel) is that parallelism is *pure optimization*:
+The contract of :mod:`repro.core.parallel` is that parallelism is
+*pure optimization*:
 
 * every sharded entry point — multi-source FT-MBFS builds, the
   sensitivity-oracle tabulation, stretch sweeps — must produce
   **bit-identical** output at any job count, under every engine;
-* the threaded C multi-pair kernel must return exactly the serial
-  kernel's answers (same generation-stamp schedule, disjoint scratch);
 * any pool/worker failure must degrade to a serial run with a
   :class:`RuntimeWarning`, never a wrong answer or a crash.
 """
@@ -17,17 +15,12 @@ import os
 import pytest
 
 from repro.core import parallel
-from repro.core.ckernel import c_kernel_available
 from repro.core.snapshot_cache import shared_cache
 from repro.ftbfs.cons2ftbfs import build_cons2ftbfs
 from repro.ftbfs.generic import build_ft_mbfs
 from repro.ftbfs.sensitivity import SingleFaultDistanceOracle
 from repro.analysis.stretch import structure_stretch
 from repro.generators import erdos_renyi, tree_plus_chords
-
-needs_c = pytest.mark.skipif(
-    not c_kernel_available(), reason="compiled C kernel unavailable"
-)
 
 #: Every canonical hop engine arm, kernel ladder order.
 ENGINE_ARMS = ["lex", "lex-csr"]
@@ -185,62 +178,3 @@ def test_stretch_profile_parallel_bit_identity():
     # dataclass equality covers the float fields: the parallel sweep
     # must accumulate in exactly the serial order, not merely close
     assert sharded == serial
-
-
-# ----------------------------------------------------------------------
-# threaded C multi-pair kernel
-# ----------------------------------------------------------------------
-@needs_c
-def test_threaded_c_kernel_bit_identity(monkeypatch):
-    """REPRO_C_THREADS>1 must be invisible in results, visible in stats."""
-    from repro.core.csr import kernel_dispatch_stats
-
-    g = erdos_renyi(120, 0.05, seed=17)
-    monkeypatch.setenv("REPRO_C_THREADS", "1")
-    shared_cache().clear()
-    serial = build_cons2ftbfs(g, 0, engine="lex-csr")
-    monkeypatch.setenv("REPRO_C_THREADS", "4")
-    monkeypatch.setenv("REPRO_C_MT_MIN", "1")
-    shared_cache().clear()
-    kernel_dispatch_stats(g, reset=True)
-    threaded = build_cons2ftbfs(g, 0, engine="lex-csr")
-    assert threaded.edges == serial.edges
-    assert threaded.stats == serial.stats
-    stats = kernel_dispatch_stats(g)
-    assert stats is not None and stats["pairs_c_mt"] > 0
-
-
-@needs_c
-def test_plan_c_threads_gating(monkeypatch):
-    from repro.core.ckernel import plan_c_threads
-
-    monkeypatch.setenv("REPRO_C_THREADS", "4")
-    monkeypatch.delenv("REPRO_C_MT_MIN", raising=False)
-    # below the default batch floor: stay serial
-    assert plan_c_threads(64) == 1
-    assert plan_c_threads(4096) == 4
-    monkeypatch.setenv("REPRO_C_MT_MIN", "8")
-    assert plan_c_threads(8) == 4
-    assert plan_c_threads(3) == 1  # under the lowered floor: serial
-    monkeypatch.setenv("REPRO_C_THREADS", "1")
-    assert plan_c_threads(100000) == 1
-
-
-# ----------------------------------------------------------------------
-# cross-axis: process pool on top of the threaded kernel
-# ----------------------------------------------------------------------
-@needs_c
-def test_pool_plus_threads_bit_identity(monkeypatch):
-    """Both parallel axes at once still reproduce the serial build."""
-    monkeypatch.setenv("REPRO_C_THREADS", "2")
-    monkeypatch.setenv("REPRO_C_MT_MIN", "1")
-    g = erdos_renyi(40, 0.12, seed=21)
-    sources = [0, 4, 8]
-    serial = build_ft_mbfs(
-        g, sources, 2, builder=build_cons2ftbfs, jobs=1, engine="lex-csr"
-    )
-    sharded = build_ft_mbfs(
-        g, sources, 2, builder=build_cons2ftbfs, jobs=2, engine="lex-csr"
-    )
-    assert sharded.edges == serial.edges
-    assert sharded.stats == serial.stats
