@@ -18,9 +18,9 @@ ways, cold-cache each time:
   (tree-repair fast path, then the pooled scalar loop) — the
   no-compiler path, informational;
 * *batched (C)* — the identical pipeline under the same ``lex-csr``
-  oracle with ``REPRO_C_KERNEL=on``, so the residue the tree repair
-  leaves must execute in the compiled C multi-pair kernel (skipped,
-  and recorded as such, on hosts where the C kernel cannot load);
+  oracle with ``REPRO_C_KERNEL=on``, so every miss must execute in one
+  compiled C multi-pair call (skipped, and recorded as such, on hosts
+  where the C kernel cannot load);
 * *per-pair scalar* — the identical probes looped through scalar
   ``oracle.distance`` point queries (the pre-batch code path, i.e.
   ``REPRO_QUERY_BATCH=0``'s behavior) with ``REPRO_C_KERNEL=off``, so

@@ -37,7 +37,7 @@ engines; select them explicitly to sweep them (uniform-weight graphs
 then reproduce the lex bodies bit-for-bit).
 Builders answer their feasibility point queries through the batched
 plan→dedupe→execute pipeline of :mod:`repro.core.query_batch`
-(one C multi-pair call for the residue whenever the C kernel loads;
+(one C multi-pair call per batch whenever the C kernel loads;
 set ``REPRO_QUERY_BATCH=0`` to force per-pair scalar queries).  ``bench
 --engine all`` times every hop engine on the same workload and
 reports speedups against the legacy ``lex`` engine, the kernel tier

@@ -1,14 +1,12 @@
-"""Batched point-query pipeline: plan → dedupe → grouped multi-pair execution.
+"""Batched point-query pipeline: plan → dedupe → one execution per tier.
 
 The constructions in the paper decide feasibility by asking, for
 thousands of ``(source, target, fault set)`` triples, whether a
 replacement path of a given length exists.  The scalar path answers
 each triple independently: normalize the restriction, stamp it, run a
-bidirectional BFS.  That repeats two kinds of work the triples share —
-restriction normalization/stamping (many triples carry the *same*
-frozen fault set) and traversal (triples with one fault set and one
-source differ only in their target).  This module removes both by
-making *the batch* the unit of work:
+bidirectional BFS.  Each answer then pays its own interpreter round
+trip, and triples that share a fault set repeat its normalization and
+stamping.  This module makes *the batch* the unit of work:
 
 **Plan.**  A :class:`PointQueryBatch` accumulates point-query requests
 without executing anything; each :meth:`~PointQueryBatch.add` returns a
@@ -25,26 +23,23 @@ and answers whatever it can from the process-wide snapshot cache —
 requests repeated across batches, builders, or scalar queries cost a
 dict lookup, never a traversal.
 
-**Grouped execution.**  Remaining misses are grouped by (source,
-frozen restriction) and each group is answered by the cheapest
-applicable strategy:
+**Execution, per kernel tier.**  The remaining misses run on the
+snapshot's kernel tier:
 
-* **tree repair** (:class:`_TreeRepair`) — for edge-only restrictions,
-  only the subtrees hanging below the faulted tree edges can change
-  distance; one bucketed mini-BFS over that region, seeded across its
-  boundary with base depths, answers *every* target of the group.  The
-  per-source context (one full BFS) and per-fault regions are cached,
-  so on the Cons2FTBFS workload most probes cost a few dozen list
-  operations;
-* **cross-query multi-pair kernel** — every pair the repair leaves
-  goes to the snapshot's C kernel in one call
-  (:meth:`repro.core.csr.CSRGraph.multi_pair_dists`) whenever it loads
-  and at least :data:`PAIR_MIN_C` pairs remain;
-* **pooled scalar fallback**
-  (:meth:`repro.core.csr.CSRGraph.bidir_distances`) — small residues
-  and hosts without the C kernel, one ban stamping per restriction and
-  one point query per pair (a C call each once the snapshot holds its
-  kernel).
+* **C tier** (the snapshot's C kernel loads) — every miss goes to one
+  :meth:`repro.core.csr.CSRGraph.multi_pair_dists` call, about 1.5 µs
+  a pair, with no grouping; below :data:`PAIR_MIN_C` misses each runs
+  as one C point query instead.  A builder that plans a whole wave of
+  probes therefore pays one library call for it.
+* **python tier** (``REPRO_C_KERNEL=off`` or no compiler) — misses are
+  grouped by (source, frozen restriction).  An edge-only group is
+  answered by **tree repair** (:class:`_TreeRepair`): only the
+  subtrees hanging below the faulted tree edges can change distance,
+  so one bucketed mini-BFS over that region, seeded across its
+  boundary with base depths, answers *every* target of the group.
+  What the repair leaves runs the **pooled scalar loop**
+  (:meth:`repro.core.csr.CSRGraph.bidir_distances`), one ban stamping
+  per restriction and one python point query per pair.
 
 Every strategy computes exact hop distances, so results are
 bit-identical to per-pair
@@ -70,10 +65,11 @@ and sends the rest one at a time, in the paper's order, as point
 queries (see :mod:`repro.ftbfs.cons2ftbfs`).
 
 Strategy thresholds are the module constants below
-(:data:`PAIR_MIN_C`, :data:`REPAIR_MAX_REGION`), read at execution
-time.  A planned probe whose source lies outside ``[0, n)`` raises
-:class:`~repro.core.errors.GraphError`; an out-of-range target is
-never found (``-1``), as in the scalar oracle.
+(:data:`PAIR_MIN_C` for the C tier, :data:`REPAIR_MAX_REGION` for the
+python tier), read at execution time.  A planned probe whose source
+lies outside ``[0, n)`` raises :class:`~repro.core.errors.GraphError`;
+an out-of-range target is never found (``-1``), as in the scalar
+oracle.
 
 Environment knob:
 
@@ -93,21 +89,24 @@ from repro.core.errors import GraphError
 UNREACHED = -1
 INF = float("inf")
 
-#: Minimum residual pair count before one C multi-pair call beats the
-#: pooled python scalar loop: its per-batch fixed cost is one library
-#: call plus a small marshalling loop, so even tiny residues win.
+#: Minimum miss count before one C multi-pair call beats one C point
+#: query per miss: its per-batch fixed cost is one library call plus a
+#: small marshalling loop, so even tiny batches win.
 PAIR_MIN_C = 4
-#: Largest affected region the tree-repair fast path will handle before
-#: deferring to the traversal kernels.  Crossover vs the multi-pair
-#: kernel: repair costs ~region·degree list operations, the kernel
-#: ~12 µs/query — small regions win big, large regions are better
-#: traversed.  The budget is per query: a group of k same-fault-set
-#: targets affords a k-times-larger region.
+#: Largest affected region the python tier's tree repair will handle
+#: before deferring to the pooled scalar loop.  Crossover: repair costs
+#: ~region·degree list operations, a python point query ~16-30 µs —
+#: small regions win big, large regions are better traversed.  The
+#: budget is per query: a group of k same-fault-set targets affords a
+#: k-times-larger region.  The C tier never repairs: one multi-pair
+#: call answers a probe in about 1.5 µs, below what the python region
+#: search costs.
 REPAIR_MAX_REGION = 16
 
 
 class _TreeRepair:
-    """Per-(snapshot, source) context for repair-based point queries.
+    """Per-(snapshot, source) context for repair-based point queries —
+    the python tier's strategy (see module docstring).
 
     For an edge-only restriction ``F``, ``dist(s, w, G \\ F)`` equals
     the unfaulted ``depth(w)`` for every ``w`` whose BFS-tree path from
@@ -120,7 +119,10 @@ class _TreeRepair:
     every path enters the region through such an arc, and region exits
     re-enter through another seed).  On the Cons2FTBFS workload regions
     average a handful of vertices, so one query costs a few dozen list
-    operations — far below even the pooled bidirectional search.
+    operations — far below the pooled python bidirectional search.
+    Under C the planner does not build it: one multi-pair call answers
+    a probe in about 1.5 µs, while a :meth:`query_many` call averages
+    15–18 µs on the perfbench build graphs.
 
     Building the context costs one full canonical BFS (depth + parents
     + children + tree-edge ids); it is cached per (CSR snapshot,
@@ -427,8 +429,8 @@ class PointQueryBatch:
     def stats(self) -> Dict[str, int]:
         """Cumulative planner counters: ``queries`` planned, ``unique``
         after dedupe, ``cached`` answered from the snapshot cache,
-        ``repaired`` answered by the tree-repair fast path, ``paired``
-        answered by the cross-query C multi-pair kernel."""
+        ``repaired`` answered by the python tier's tree repair,
+        ``paired`` answered by the C tier's multi-pair kernel."""
         return dict(self._stats)
 
     def add(
@@ -450,8 +452,9 @@ class PointQueryBatch:
         """Resolve every pending request; returns hops in plan order.
 
         Dedupes requests against each other and the snapshot cache,
-        groups the misses by frozen restriction, and executes each
-        group in one shot (one ban stamping per restriction).  Handles
+        then answers the misses on the snapshot's kernel tier: one C
+        multi-pair call, or tree repair and the pooled python loop
+        grouped by frozen restriction (see module docstring).  Handles
         from :meth:`add` are filled in place; the batch is then empty
         and reusable.  Raises :class:`~repro.core.errors.GraphError`
         for a probe whose source lies outside ``[0, n)``.
@@ -538,8 +541,50 @@ class PointQueryBatch:
         # execution plan but keep them in `misses` for the cache fill.
         pending = [slot for slot in misses if results[slot] is None]
 
-        # -- group misses by (source, frozen restriction): the executor
-        # strategies all amortize per group.
+        if pending:
+            if csr.c_active:
+                # C tier: every miss in one multi-pair call, or one C
+                # point query each below PAIR_MIN_C — no grouping.
+                queries = [unique[slot][:4] for slot in pending]
+                if len(queries) >= PAIR_MIN_C:
+                    answers = csr.multi_pair_dists(queries)
+                    st["paired"] += len(queries)
+                else:
+                    stamp = csr.stamp_edge_ids
+                    bidir = csr.bidir_distance
+                    answers = [
+                        bidir(s, t, stamp(ekey, vkey))
+                        for s, t, ekey, vkey in queries
+                    ]
+                for slot, d in zip(pending, answers):
+                    results[slot] = d
+            else:
+                self._execute_python(csr, unique, pending, results)
+
+        if misses:
+            cache.bulk_evict(nsd, limit)
+            for slot in misses:
+                nsd[unique[slot][4]] = results[slot]
+
+        out: List[int] = []
+        for (_s, _t, _be, _bv, handle), slot in zip(requests, slots):
+            handle.hops = results[slot]
+            out.append(handle.hops)
+        self._executed += len(requests)
+        return out
+
+    def _execute_python(
+        self,
+        csr,
+        unique: List[Tuple],
+        pending: List[int],
+        results: List[Optional[int]],
+    ) -> None:
+        """The python tier's strategy for the misses in ``pending``:
+        tree repair per (source, edge-only restriction), then the pooled
+        scalar loop with one stamping per frozen restriction."""
+        oracle = self._oracle
+        cache = oracle._cache
         by_restriction: Dict[Tuple, List[int]] = {}
         eligible: Dict[int, int] = {}
         for slot in pending:
@@ -548,11 +593,10 @@ class PointQueryBatch:
             if not vkey:
                 eligible[source] = eligible.get(source, 0) + 1
 
-        # -- tree-repair fast path: an edge-only restriction collapses
-        # to one mini search over the subtrees below its faulted tree
-        # edges, answering every target of the group (see _TreeRepair);
-        # the per-source context is amortized across the batch and
-        # cached on the snapshot.
+        # An edge-only restriction collapses to one mini search over the
+        # subtrees below its faulted tree edges, answering every target
+        # of the group (see _TreeRepair); the per-source context is
+        # amortized across the batch and cached on the snapshot.
         groups: Dict[Tuple, List[int]] = {}
         repairs: Dict[int, Optional[_TreeRepair]] = {}
         repair_ns = "repair:" + oracle._PT_NS
@@ -580,45 +624,16 @@ class PointQueryBatch:
             if answers is not None:
                 for slot, answer in zip(group_slots, answers):
                     results[slot] = answer
-                st["repaired"] += len(group_slots)
+                self._stats["repaired"] += len(group_slots)
             else:
                 groups.setdefault((ekey, vkey), []).extend(group_slots)
 
-        # -- residual: every pair the repair left.  One C call answers
-        # them all; small residues (or no C kernel) loop the pooled
-        # scalar query, one stamping per frozen restriction.
-        residual = [slot for group_slots in groups.values() for slot in group_slots]
-        if residual:
-            if csr.c_active and len(residual) >= PAIR_MIN_C:
-                queries = [
-                    (unique[slot][0], unique[slot][1], unique[slot][2], unique[slot][3])
-                    for slot in residual
-                ]
-                for slot, d in zip(residual, csr.multi_pair_dists(queries)):
-                    results[slot] = d
-                st["paired"] += len(residual)
-            else:
-                for (ekey, vkey), group_slots in groups.items():
-                    ban = csr.stamp_edge_ids(list(ekey), list(vkey))
-                    pairs = [
-                        (unique[slot][0], unique[slot][1]) for slot in group_slots
-                    ]
-                    for slot, d in zip(
-                        group_slots, csr.bidir_distances(pairs, ban)
-                    ):
-                        results[slot] = d
-
-        if misses:
-            cache.bulk_evict(nsd, limit)
-            for slot in misses:
-                nsd[unique[slot][4]] = results[slot]
-
-        out: List[int] = []
-        for (_s, _t, _be, _bv, handle), slot in zip(requests, slots):
-            handle.hops = results[slot]
-            out.append(handle.hops)
-        self._executed += len(requests)
-        return out
+        # Every pair the repair left: one stamping per frozen restriction.
+        for (ekey, vkey), group_slots in groups.items():
+            ban = csr.stamp_edge_ids(ekey, vkey)
+            pairs = [(unique[slot][0], unique[slot][1]) for slot in group_slots]
+            for slot, d in zip(group_slots, csr.bidir_distances(pairs, ban)):
+                results[slot] = d
 
 
 class LegacyQueryBatch:

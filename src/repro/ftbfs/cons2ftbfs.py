@@ -27,16 +27,21 @@ paths) is retained for the structural census of experiments E8/E9.
 pure feasibility filter per fault pair — ``dist(s, v, G \\ F)``, the
 point queries that dominate the construction's runtime.  Those
 distances depend only on ``(v, F)``, never on the evolving edge
-collection, so the builder now runs in three phases: *plan* (step 1
-per target, enumerating every step-2/3 fault pair and registering its
+collection, so the builder runs in four phases: *step 1* for every
+target at once (:func:`~repro.replacement.single.single_replacements_by_target`:
+the Eq. 3 binary searches of all targets advance in lockstep, one
+planner execution per wave, about ``log2(depth of T0)`` of them),
+*plan* (enumerate every step-2/3 fault pair and register its
 feasibility probe with a :class:`~repro.core.query_batch.PointQueryBatch`),
-*execute* (one batched resolution — deduplicated, grouped by frozen
-fault set, the residue answered by one C multi-pair call; a pair
-of π-edges is shared by every target below it, so whole subtrees of
-probes collapse into one group), then *finish* (the paper's sequential
-per-vertex selection logic, consuming the precomputed distances).  The
-produced structure is byte-identical to the per-pair scalar path —
-set ``REPRO_QUERY_BATCH=0`` to force that path (the E16 benchmark's
+*execute* (one batched resolution — deduplicated, then one C
+multi-pair call under the C kernel, or tree repair and the pooled loop
+grouped by fault set on the python tier, where a pair of π-edges
+shared by every target below it collapses whole subtrees of probes
+into one group), then *finish* (the paper's sequential per-vertex
+selection logic, consuming the precomputed distances).  A cold build
+under C thus makes a handful of planner executions.  The produced
+structure is byte-identical to the per-pair scalar path — set
+``REPRO_QUERY_BATCH=0`` to force that path (the E16 benchmark's
 baseline arm).
 
 One check stays outside the plan phase: the ``d_restricted`` test of
@@ -66,7 +71,11 @@ from repro.core.query_batch import QueryHandle, batching_enabled
 from repro.ftbfs.structures import FTStructure, make_structure
 from repro.replacement.base import SourceContext
 from repro.replacement.dual import DualReplacement, pid_replacement, pipi_replacement
-from repro.replacement.single import SingleReplacement, all_single_replacements
+from repro.replacement.single import (
+    SingleReplacement,
+    all_single_replacements,
+    single_replacements_by_target,
+)
 
 
 @dataclass
@@ -124,16 +133,15 @@ def build_cons2ftbfs(
     total_satisfied = 0
     total_fallbacks = 0
 
-    # Phase 1+2 (plan, execute): enumerate every step-2/3 fault pair
-    # and resolve all their feasibility distances in one batched
-    # execution; phase 3 (finish) then replays the paper's sequential
-    # selection against the precomputed answers.  See module docstring.
+    # Step 1 for every target at once (build-wide lockstep waves), then
+    # plan every step-2/3 fault pair and resolve all their feasibility
+    # distances in one batched execution; finish then replays the
+    # paper's sequential selection against the precomputed answers.
+    # See module docstring.
+    targets = [v for v in tree.vertices() if v != source]
+    singles = single_replacements_by_target(ctx, targets)
     batch = ctx.query_batch() if batching_enabled() else None
-    plans = [
-        _plan_vertex(ctx, v, batch)
-        for v in tree.vertices()
-        if v != source
-    ]
+    plans = [_plan_vertex(ctx, v, singles[v], batch) for v in targets]
     if batch is not None:
         batch.execute()
 
@@ -198,8 +206,14 @@ class _VertexPlan:
     pid: List[Tuple[SingleReplacement, Edge, Optional[QueryHandle]]]
 
 
-def _plan_vertex(ctx: SourceContext, v: int, batch) -> _VertexPlan:
-    """Step 1 for ``v`` plus the plan of every step-2/3 feasibility probe.
+def _plan_vertex(
+    ctx: SourceContext,
+    v: int,
+    singles: Dict[Edge, Optional[SingleReplacement]],
+    batch,
+) -> _VertexPlan:
+    """The plan of every step-2/3 feasibility probe of ``v``, from its
+    step-1 ``singles``.
 
     The probes registered here are pure functions of ``(v, F)`` — they
     do not see the evolving edge collection — which is what makes them
@@ -208,7 +222,6 @@ def _plan_vertex(ctx: SourceContext, v: int, batch) -> _VertexPlan:
     single-fault-set groups at execution time.
     """
     pi_path = ctx.pi(v)
-    singles = all_single_replacements(ctx, v)
     pi_edges = [normalize_edge(a, b) for a, b in pi_path.directed_edges()]
     source = ctx.source
 

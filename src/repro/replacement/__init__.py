@@ -43,6 +43,7 @@ from repro.replacement.single import (
     earliest_divergence_index,
     plain_replacement_path,
     single_replacement,
+    single_replacements_by_target,
 )
 
 __all__ = [
@@ -82,4 +83,5 @@ __all__ = [
     "plain_dual_replacement",
     "plain_replacement_path",
     "single_replacement",
+    "single_replacements_by_target",
 ]

@@ -193,7 +193,8 @@ class SourceContext:
         many fault sets, execute once, read the handles.  Every oracle
         family answers the same planner surface, so ``--engine lex``
         runs converted consumers scalar while the kernel engines
-        dedupe, group by fault set and batch the residue into C.
+        dedupe and send the misses to one C multi-pair call (tree
+        repair and the pooled loop on the python kernel).
         """
         return self.oracle.batch()
 

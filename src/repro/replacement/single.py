@@ -21,15 +21,20 @@ in ``k`` is monotone (masking a shorter prefix only removes paths), so
 the minimal ``k`` is located by binary search; a linear-scan reference
 is retained for tests.
 
-:func:`all_single_replacements` runs the per-fault binary searches in
-*lockstep waves*: each round collects the current probe of every still-
-active search and resolves them through one
-:class:`~repro.core.query_batch.PointQueryBatch` execution — the probes
-are deduplicated against the snapshot cache and answered with one ban
-stamping per distinct restriction.  Every individual search follows the
-exact probe sequence of the scalar binary search, so the selected
-divergence indices (and hence the replacement paths) are identical;
-``REPRO_QUERY_BATCH=0`` or ``linear=True`` forces the scalar path.
+:func:`single_replacements_by_target` runs the binary searches of
+every ``(target, π-edge)`` pair in *lockstep waves*: each round collects
+the current probe of every still-active search, across all targets,
+and resolves them through one
+:class:`~repro.core.query_batch.PointQueryBatch` execution.  A whole
+build's step 1 therefore costs about ``log2(depth of T0)`` executions:
+under the C kernel each is one multi-pair call, and on the python tier
+the probes of one wave that share a fault and a masked segment (every
+target below the fault, at the same ``k``) share one ban stamping.
+:func:`all_single_replacements` is its one-target call.  Every
+individual search follows the exact probe sequence of the scalar
+binary search, so the selected divergence indices (and hence the
+replacement paths) are identical; ``REPRO_QUERY_BATCH=0`` or
+``linear=True`` forces the scalar path.
 """
 
 from __future__ import annotations
@@ -202,49 +207,88 @@ def single_replacement(
 
 
 def _batched_divergence_indices(
-    ctx: SourceContext, v: int, faults: List[Edge]
-) -> Dict[Edge, Optional[int]]:
-    """Minimal divergence index per fault, binary searches in lockstep.
+    ctx: SourceContext, targets: Sequence[int]
+) -> Dict[Tuple[int, Edge], Optional[int]]:
+    """Minimal divergence index per ``(target, π-edge)``, in lockstep.
 
-    Each wave gathers the pending probe of every still-active binary
-    search and resolves them in one batched execution; per fault the
-    probe sequence — and therefore the selected index — is exactly that
-    of :func:`earliest_divergence_index`.  Entries are ``None`` for
-    bridge faults that disconnect ``v``.
+    One binary search runs per target ``v`` and edge ``e`` of
+    ``π(s, v)``.  Each wave gathers the pending probe of every still-
+    active search, across all ``targets``, and resolves them in one
+    batched execution; per search the probe sequence — and therefore
+    the selected index — is exactly that of
+    :func:`earliest_divergence_index`.  Entries are ``None`` for bridge
+    faults that disconnect ``v``.
     """
-    pi_path = ctx.pi(v)
-    out: Dict[Edge, Optional[int]] = {}
-    # Per active search: [fault, upper, target_hops, lo, hi].
+    out: Dict[Tuple[int, Edge], Optional[int]] = {}
+    # Per active search: [v, π(s, v), fault, upper, target hops, lo, hi].
     states: List[list] = []
-    for e in faults:
-        # One full BFS per fault serves every affected target (cached
-        # on the context); raw hops, -1 = disconnected.
-        target = ctx.fault_distances(e)[v]
-        if target == UNREACHED:
-            out[e] = None
-            continue
-        upper = min(pi_path.position(e[0]), pi_path.position(e[1]))
-        states.append([e, upper, target, 0, upper])
+    for v in targets:
+        pi_path = ctx.pi(v)
+        # Edge i of π joins u_i and u_{i+1}, so its upper index is i.
+        for upper, (a, b) in enumerate(pi_path.directed_edges()):
+            e = normalize_edge(a, b)
+            # One full BFS per fault serves every affected target
+            # (cached on the context); raw hops, -1 = disconnected.
+            target = ctx.fault_distances(e)[v]
+            if target == UNREACHED:
+                out[v, e] = None
+                continue
+            states.append([v, pi_path, e, upper, target, 0, upper])
     batch = ctx.query_batch()
-    while True:
-        active = [st for st in states if st[3] < st[4]]
-        if not active:
-            break
+    source = ctx.source
+    active = [st for st in states if st[5] < st[6]]
+    while active:
         handles = []
-        for e, upper, _target, lo, hi in active:
-            mid = (lo + hi) // 2
+        for v, pi_path, e, upper, _target, lo, hi in active:
             banned_v = ctx.pi_segment_interior_ban(
-                pi_path, pi_path[mid], pi_path[upper]
+                pi_path, pi_path[(lo + hi) // 2], pi_path[upper]
             )
-            handles.append(batch.add(ctx.source, v, (e,), banned_v))
+            handles.append(batch.add(source, v, (e,), banned_v))
         batch.execute()
         for st, handle in zip(active, handles):
-            if handle.hops == st[2]:  # feasible: tighten from above
-                st[4] = (st[3] + st[4]) // 2
+            if handle.hops == st[4]:  # feasible: tighten from above
+                st[6] = (st[5] + st[6]) // 2
             else:
-                st[3] = (st[3] + st[4]) // 2 + 1
-    for e, _upper, _target, lo, _hi in states:
-        out[e] = lo
+                st[5] = (st[5] + st[6]) // 2 + 1
+        active = [st for st in active if st[5] < st[6]]
+    for v, _pi, e, _upper, _target, lo, _hi in states:
+        out[v, e] = lo
+    return out
+
+
+def single_replacements_by_target(
+    ctx: SourceContext,
+    targets: Sequence[int],
+    *,
+    linear: bool = False,
+) -> Dict[int, Dict[Edge, Optional[SingleReplacement]]]:
+    """:func:`all_single_replacements` for every target at once.
+
+    Maps each target ``v`` to its ``{e_i: P_{s,v,{e_i}}}`` dict (keys in
+    π order, ``None`` for bridges).  The binary searches of all targets
+    run in one set of lockstep waves (see module docstring), so a whole
+    build's step 1 costs about ``log2(depth of T0)`` planner executions;
+    ``linear`` or ``REPRO_QUERY_BATCH=0`` forces the scalar reference
+    path.  Selected paths are identical either way.
+    """
+    out: Dict[int, Dict[Edge, Optional[SingleReplacement]]] = {}
+    if linear or not batching_enabled():
+        for v in targets:
+            out[v] = {
+                e: single_replacement(ctx, v, e, linear=linear)
+                for e in _pi_edges(ctx.pi(v))
+            }
+        return out
+    indices = _batched_divergence_indices(ctx, targets)
+    for v in targets:
+        pi_path = ctx.pi(v)
+        singles: Dict[Edge, Optional[SingleReplacement]] = {}
+        for e in _pi_edges(pi_path):
+            k = indices[v, e]
+            singles[e] = (
+                None if k is None else _selected_replacement(ctx, v, pi_path, e, k)
+            )
+        out[v] = singles
     return out
 
 
@@ -257,26 +301,18 @@ def all_single_replacements(
     """``P_{s,v,{e_i}}`` for every ``e_i ∈ π(s, v)``, keyed by edge.
 
     Entries are ``None`` for bridge edges whose removal disconnects
-    ``v``.  Keys iterate in π order (top to bottom).  The per-fault
-    divergence binary searches run in batched lockstep waves (see
-    module docstring) unless ``linear`` or ``REPRO_QUERY_BATCH=0``
-    forces the scalar reference path; selected paths are identical
-    either way.
+    ``v``.  Keys iterate in π order (top to bottom).  The one-target
+    call of :func:`single_replacements_by_target`: the per-fault
+    divergence binary searches run in batched lockstep waves unless
+    ``linear`` or ``REPRO_QUERY_BATCH=0`` forces the scalar reference
+    path; selected paths are identical either way.
     """
-    pi_path = ctx.pi(v)
-    edge_list = [normalize_edge(u, w) for u, w in pi_path.directed_edges()]
-    out: Dict[Edge, Optional[SingleReplacement]] = {}
-    if linear or not batching_enabled():
-        for e in edge_list:
-            out[e] = single_replacement(ctx, v, e, linear=linear)
-        return out
-    indices = _batched_divergence_indices(ctx, v, edge_list)
-    for e in edge_list:
-        k = indices[e]
-        out[e] = (
-            None if k is None else _selected_replacement(ctx, v, pi_path, e, k)
-        )
-    return out
+    return single_replacements_by_target(ctx, (v,), linear=linear)[v]
+
+
+def _pi_edges(pi_path: Path) -> List[Edge]:
+    """The normalized edges of ``π(s, v)``, top to bottom."""
+    return [normalize_edge(u, w) for u, w in pi_path.directed_edges()]
 
 
 def plain_replacement_path(

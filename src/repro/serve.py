@@ -17,8 +17,8 @@ over a local socket for as long as it lives.  The moving parts:
 * **Execution.**  Every query runs on the artifact's
   :class:`~repro.ftbfs.oracle.FTQueryOracle` — ``batch`` requests ride
   the :class:`~repro.core.query_batch.PointQueryBatch` planner, so a
-  served batch gets the same plan→dedupe→group pipeline and kernel
-  ladder (one C multi-pair call for the residue) as an in-process
+  served batch gets the same plan→dedupe→execute pipeline and kernel
+  ladder (one C multi-pair call per batch) as an in-process
   caller.  The accept loop is threaded (one thread per connection),
   but query execution itself is serialized behind one lock: the CSR
   kernel's pooled scratch belongs to the snapshot, not to a thread,

@@ -11,6 +11,7 @@ converted builders must produce byte-identical structures with
 batching on and off.
 """
 
+import math
 import random
 
 import pytest
@@ -387,6 +388,9 @@ def test_tree_repair_exactness_all_regions(monkeypatch):
 
 
 def test_repair_cap_controls_strategy(monkeypatch):
+    # Tree repair is the python tier's strategy: under C every miss
+    # goes to the multi-pair kernel.
+    monkeypatch.setenv("REPRO_C_KERNEL", "off")
     g = tree_plus_chords(120, 40, seed=41)
     reqs = None
     results = {}
@@ -438,6 +442,84 @@ def test_cons2_builds_identical_with_and_without_batching(shape, engine, monkeyp
             h.stats["new_edges_by_phase"],
         )
     assert structures["1"] == structures["0"]
+
+
+@needs_ckernel
+@pytest.mark.parametrize("shape", list(CONS2_SHAPES))
+def test_cold_build_executes_once_per_wave(shape, monkeypatch):
+    """Step 1's binary searches advance in build-wide lockstep, so a
+    cold ``lex-csr`` build executes its planner once per wave — at most
+    ⌈log2(depth of T0)⌉ of them — plus once for steps 2 and 3."""
+    monkeypatch.setenv("REPRO_C_KERNEL", "on")
+    g = CONS2_SHAPES[shape]()
+    calls = []
+    execute = query_batch.PointQueryBatch.execute
+
+    def counted(batch):
+        calls.append(len(batch))
+        return execute(batch)
+
+    monkeypatch.setattr(query_batch.PointQueryBatch, "execute", counted)
+    shared_cache().clear()
+    build_cons2ftbfs(g, 0, engine="lex-csr")
+    tree = SourceContext(g, 0).tree
+    depth = max(tree.depth(v) for v in tree.vertices())
+    assert 1 <= len(calls) <= math.ceil(math.log2(depth)) + 2
+
+
+@pytest.mark.parametrize("mode", ["on", "off"])
+def test_c_tier_skips_repair_and_grouping(mode, monkeypatch):
+    """Under C every miss the dedupe and the snapshot cache leave goes
+    to the multi-pair kernel, edge-only and vertex-ban restrictions
+    alike: ``repaired == 0`` and ``paired == unique - cached``.  The
+    python tier repairs the same batch instead.  Answers equal
+    per-pair ``bidir_distance`` either way."""
+    monkeypatch.setenv("REPRO_C_KERNEL", mode)
+    if mode == "on" and not c_kernel_available():
+        pytest.skip("compiled C kernel unavailable")
+    g = tree_plus_chords(120, 40, seed=41)
+    rng = random.Random(8)
+    edges = sorted(g.edges())
+    requests = [
+        (
+            0 if rng.random() < 0.7 else rng.randrange(g.n),
+            rng.randrange(g.n),
+            tuple(rng.sample(edges, k=rng.randrange(0, 3))),
+            () if rng.random() < 0.5 else (rng.randrange(1, g.n),),
+        )
+        for _ in range(80)
+    ]
+    requests += requests[:10]  # duplicates collapse onto one slot
+    shared_cache().clear()
+    oracle = DistanceOracle(g)
+    for req in requests[:5]:
+        oracle.distance(*req)  # seeds the shared point memo
+    batch = oracle.batch()
+    handles = [batch.add(*req) for req in requests]
+    batch.execute()
+    st = batch.stats
+    assert st["queries"] == len(requests) > st["unique"]
+    assert st["cached"] > 0
+    if mode == "on":
+        assert st["repaired"] == 0
+        assert st["paired"] == st["unique"] - st["cached"]
+    else:
+        assert st["paired"] == 0 and st["repaired"] > 0
+    csr = csr_of(g)
+    for (s, t, be, bv), handle in zip(requests, handles):
+        assert handle.hops == csr.bidir_distance(s, t, csr.stamp_bans(be, bv))
+    if mode == "on":
+        # Below PAIR_MIN_C misses, each runs as one C point query.
+        shared_cache().clear()
+        points = kernel_dispatch_stats(g)["points_c"]
+        small = [(0, t, edges[:2], (3,)) for t in (7, 9)]
+        batch = oracle.batch()
+        handles = [batch.add(*req) for req in small]
+        batch.execute()
+        assert batch.stats["paired"] == 0
+        assert kernel_dispatch_stats(g)["points_c"] == points + len(small)
+        for (s, t, be, bv), handle in zip(small, handles):
+            assert handle.hops == csr.bidir_distance(s, t, csr.stamp_bans(be, bv))
 
 
 def test_feasibility_probes_certificates_are_exact():

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.canonical import INF, LexShortestPaths
+from repro.core.ckernel import c_kernel_available
 from repro.core.errors import ConstructionError
 from repro.core.graph import Graph
 from repro.core.paths import Path
+from repro.core.snapshot_cache import shared_cache
 from repro.generators import erdos_renyi, path_graph, tree_plus_chords
 from repro.replacement.base import SourceContext
 from repro.replacement.single import (
@@ -14,9 +16,10 @@ from repro.replacement.single import (
     earliest_divergence_index,
     plain_replacement_path,
     single_replacement,
+    single_replacements_by_target,
 )
 
-from tests.zoo import zoo_params
+from tests.zoo import CONS2_SHAPES, graph_zoo, zoo_params
 
 
 def contexts_and_targets(graph, limit=None):
@@ -157,3 +160,35 @@ def test_detour_aliases(small_er):
                 continue
             assert rep.x == rep.divergence == rep.detour.source
             assert rep.y == rep.reattach == rep.detour.target
+
+
+#: The zoo plus the Cons2FTBFS build shapes, as graph factories.
+STEP1_GRAPHS = [pytest.param(lambda g=g: g, id=name) for name, g in graph_zoo()] + [
+    pytest.param(make, id="cons2" + ("-" + key.rstrip("-") if key else ""))
+    for key, make in CONS2_SHAPES.items()
+]
+
+
+@pytest.mark.parametrize(
+    "engine,c_mode", [("lex", "auto"), ("lex-csr", "on"), ("lex-csr", "off")]
+)
+@pytest.mark.parametrize("make_graph", STEP1_GRAPHS)
+def test_build_wide_step1_matches_per_target(make_graph, engine, c_mode, monkeypatch):
+    """Step 1 for every target in one set of lockstep waves selects
+    exactly what the per-target call selects, dict for dict (same
+    replacement paths and decompositions, keys in π order)."""
+    monkeypatch.setenv("REPRO_C_KERNEL", c_mode)
+    if c_mode == "on" and not c_kernel_available():
+        pytest.skip("compiled C kernel unavailable")
+    g = make_graph()
+    shared_cache().clear()
+    ctx = SourceContext(g, 0, engine)
+    targets = [v for v in ctx.tree.vertices() if v != 0]
+    wide = single_replacements_by_target(ctx, targets)
+    assert list(wide) == targets
+    shared_cache().clear()
+    fresh = SourceContext(g, 0, engine)
+    for v in targets:
+        assert list(wide[v].items()) == list(
+            all_single_replacements(fresh, v).items()
+        )
