@@ -1,8 +1,8 @@
 """Shared helpers for the experiment benchmarks.
 
 Every benchmark regenerates one table/figure-equivalent of the paper
-(see DESIGN.md §3).  The table is printed to stdout *and* persisted to
-``benchmarks/results/<exp>.txt`` so ``pytest benchmarks/
+(see ``docs/benchmarks.md``).  The table is printed to stdout *and*
+persisted to ``benchmarks/results/<exp>.txt`` so ``pytest benchmarks/
 --benchmark-only`` leaves a full record behind regardless of output
 capture.
 

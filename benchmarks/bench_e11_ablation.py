@@ -1,6 +1,7 @@
 """E11 — ablation of Cons2FTBFS's design choices.
 
-DESIGN.md calls out two ingredients of the construction:
+The construction (``docs/architecture.md`` maps it onto
+``src/repro/ftbfs/cons2ftbfs.py``) has two ingredients worth ablating:
 
 * the *last-edge sparsification* (vs keeping whole replacement paths);
 * the *selection preferences* (earliest π-/D-divergence + the

@@ -22,9 +22,9 @@ ways, cold-cache each time:
   compiled C multi-pair call (skipped, and recorded as such, on hosts
   where the C kernel cannot load);
 * *per-pair scalar* — the identical probes looped through scalar
-  ``oracle.distance`` point queries (the pre-batch code path, i.e.
-  ``REPRO_QUERY_BATCH=0``'s behavior) with ``REPRO_C_KERNEL=off``, so
-  every query runs the python ``bidir_distance`` loop;
+  ``oracle.distance`` point queries (``oracle.distance`` per probe, the
+  pre-batch code path) with ``REPRO_C_KERNEL=off``, so every query
+  runs the python ``bidir_distance`` loop;
 * *per-pair C* — the same loop with ``REPRO_C_KERNEL=on`` on a snapshot
   that holds its C kernel, so every query is one C call
   (informational; skipped where the C kernel cannot load).
@@ -42,11 +42,10 @@ many targets) against per-pair scalar queries across batch sizes — the
 per-pair latency curve that shows where batching starts paying.
 
 **End-to-end builds.**  ``build_cons2ftbfs`` wall time on the headline
-workload across two arms — *batched* (the default pipeline: batched
-step-2/3 target probes, sequential scalar step-3 ``d_restricted``
-probes) and *scalar* (``REPRO_QUERY_BATCH=0``, the pre-batch
-pipeline) — asserting byte-identical structures and recording which
-kernel tier served each arm.
+workload on the two kernel tiers — *python* (``REPRO_C_KERNEL=off``)
+and *C* (``REPRO_C_KERNEL=on``; skipped, and recorded as such, where
+the C kernel cannot load) — asserting byte-identical structures and
+recording what the C kernel served in each arm.
 
 Environment knobs (used by CI's smoke run):
 
@@ -365,11 +364,10 @@ def test_e16_batch_size_curve(benchmark):
     )
 
 
-#: The two end-to-end build arms: (label, REPRO_QUERY_BATCH).
-#: ``batched`` is the default pipeline, ``scalar`` the pre-batch one.
+#: The two end-to-end build arms: (label, REPRO_C_KERNEL).
 BUILD_ARMS = [
-    ("batched", "1"),
-    ("scalar", "0"),
+    ("python", "off"),
+    ("c", "on"),
 ]
 
 
@@ -377,12 +375,14 @@ def test_e16_end_to_end_build(benchmark):
     kind, n, arg = _sizes()[0]  # the headline workload (chords n=1000)
     g = _graph(kind, n, arg)
     n = n if n is not None else g.n
+    # The C arm needs a loadable kernel; elsewhere it is recorded as skipped.
+    skipped = [] if c_kernel_available() else ["c"]
+    arms = [(label, mode) for label, mode in BUILD_ARMS if label not in skipped]
     times = {}
     sizes = {}
     dispatch = {}
-    for label, qb in BUILD_ARMS:
-        os.environ["REPRO_QUERY_BATCH"] = qb
-        try:
+    for label, mode in arms:
+        with _c_kernel(mode):
             best = float("inf")
             for _ in range(_rounds()):
                 shared_cache().clear()
@@ -392,23 +392,21 @@ def test_e16_end_to_end_build(benchmark):
                 best = min(best, time.perf_counter() - t0)
             times[label] = best
             sizes[label] = frozenset(h.edges)
-            # One cold build's kernel-tier dispatch (which tier served
-            # the arm).
+            # One cold build's C dispatch (None: no C kernel served it).
             dispatch[label] = kernel_dispatch_stats(g)
-        finally:
-            os.environ.pop("REPRO_QUERY_BATCH", None)
     assert len(set(sizes.values())) == 1, (
-        "batched / scalar builds must be byte-identical"
+        "python / C kernel builds must be byte-identical"
     )
-    scalar = times["scalar"]
+    python = times["python"]
     rows = [
-        [label, f"{times[label]:.3f}", f"{scalar / times[label]:.2f}x"]
-        for label, _qb in BUILD_ARMS
+        [label, f"{times[label]:.3f}", f"{python / times[label]:.2f}x"]
+        for label, _mode in arms
     ]
+    rows += [[label, "skipped", "n/a"] for label in skipped]
     emit(
         "E16-build",
         f"end-to-end build_cons2ftbfs arms ({workload_label(kind, n, arg)})",
-        table(["arm", "seconds", "vs scalar"], rows),
+        table(["arm", "seconds", "vs python"], rows),
     )
     emit_json(
         "e16_build",
@@ -420,11 +418,12 @@ def test_e16_end_to_end_build(benchmark):
             "arms": {
                 label: {
                     "seconds": times[label],
-                    "speedup_vs_scalar": scalar / times[label],
+                    "speedup_vs_python": python / times[label],
                     "kernel_dispatch": dispatch[label],
                 }
-                for label, _qb in BUILD_ARMS
+                for label, _mode in arms
             },
+            "skipped": skipped,
         },
     )
     benchmark.pedantic(

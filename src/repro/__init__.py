@@ -23,17 +23,18 @@ kernel, running in the optional compiled C kernel whenever it loads)
 and ``lex`` (legacy layered reference).  The package needs only the
 standard library.  Feasibility point queries are batch-first:
 builders plan them against a :class:`PointQueryBatch`
-(:mod:`repro.core.query_batch`), which deduplicates, groups by fault
-set and executes each group in one shot — tree-repair mini searches,
-one cross-query C multi-pair call, or a pooled scalar loop —
+(:mod:`repro.core.query_batch`), which deduplicates them and answers
+the misses on the snapshot's kernel tier — one cross-query C
+multi-pair call whenever the C kernel loads, else tree-repair mini
+searches and a pooled python loop, grouped by fault set —
 bit-identically to per-pair queries.  Repeated feasibility checks are
 memoized in a process-wide snapshot cache
 (:mod:`repro.core.snapshot_cache`) shared across builders and oracles,
 weight-capped so vector memos stay bounded, and invalidated by graph
 mutation.
 
-See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md``
-for the reproduced tables/figures.
+See ``docs/architecture.md`` for the full system inventory and
+``docs/benchmarks.md`` for the reproduced tables/figures.
 """
 
 from repro.analysis import (

@@ -38,7 +38,7 @@ then reproduce the lex bodies bit-for-bit).
 Builders answer their feasibility point queries through the batched
 plan→dedupe→execute pipeline of :mod:`repro.core.query_batch`
 (one C multi-pair call per batch whenever the C kernel loads;
-set ``REPRO_QUERY_BATCH=0`` to force per-pair scalar queries).  ``bench
+``--engine lex`` answers them one pair at a time).  ``bench
 --engine all`` times every hop engine on the same workload and
 reports speedups against the legacy ``lex`` engine, the kernel tier
 that actually served each arm's batched queries (auto-dispatch is

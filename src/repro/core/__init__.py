@@ -4,9 +4,10 @@ Point queries come in two shapes: scalar (``DistanceOracle.distance``)
 and batch-first (``DistanceOracle.distances_bulk`` and the
 :class:`~repro.core.query_batch.PointQueryBatch` planner from
 ``DistanceOracle.batch()``), which plans many feasibility probes,
-deduplicates them against the process-wide snapshot cache, groups them
-by frozen fault set and executes each group in one shot — in one C
-call whenever the compiled kernel loads.  Builders that issue many
+deduplicates them against the process-wide snapshot cache and answers
+the misses on the snapshot's kernel tier: one C multi-pair call
+whenever the compiled kernel loads, else tree repair and the pooled
+python loop, grouped by frozen fault set.  Builders that issue many
 probes should plan-then-execute; see :mod:`repro.core.query_batch`.
 """
 
@@ -30,12 +31,7 @@ from repro.core.canonical import (
     normalize_distances,
 )
 from repro.core.csr import CSRGraph, csr_of
-from repro.core.query_batch import (
-    LegacyQueryBatch,
-    PointQueryBatch,
-    QueryHandle,
-    batching_enabled,
-)
+from repro.core.query_batch import LegacyQueryBatch, PointQueryBatch, QueryHandle
 from repro.core.snapshot_cache import SnapshotCache, shared_cache
 from repro.core.errors import (
     ConstructionError,
@@ -106,7 +102,6 @@ __all__ = [
     "Topology",
     "VerificationError",
     "assert_identical_reports",
-    "batching_enabled",
     "bfs_distance",
     "bfs_distances",
     "csr_of",

@@ -449,7 +449,7 @@ class Artifact:
                     engine._search_ns,
                     key,
                     (SearchResult(s, dist, parent), True),
-                    limit=engine._cache_size,
+                    limit=engine.SEARCH_CACHE_LIMIT,
                     weight=2 * n,
                     weight_limit=engine.SEARCH_CACHE_INTS,
                 )
@@ -469,7 +469,7 @@ class Artifact:
                 # unfaulted served point query is a straight cache hit.
                 cache = dist_oracle._cache
                 ns = cache.namespace(csr, dist_oracle._PT_NS)
-                cache.bulk_evict(ns, limit=dist_oracle._cache_size)
+                cache.bulk_evict(ns, limit=dist_oracle.PT_CACHE_LIMIT)
                 ns.update(
                     ((s, t, (), ()), dist[t]) for t in range(n)
                 )
@@ -496,9 +496,7 @@ def load_artifact(path: PathLike, verify: Optional[bool] = None) -> Artifact:
 
 
 def load_or_build(
-    path: PathLike,
-    build: Callable[[], FTStructure],
-    resave: bool = True,
+    path: PathLike, build: Callable[[], FTStructure]
 ) -> Tuple[Artifact, bool]:
     """Load ``path``, rebuilding via ``build()`` when it cannot be used.
 
@@ -506,21 +504,20 @@ def load_or_build(
     corrupt payload, stale format/ABI — falls back to calling
     ``build()`` and re-saving the fresh artifact over ``path``
     (atomic, see :func:`save_artifact`).  When ``path``'s location is
-    not writable (or ``resave`` is false), the rebuilt artifact is
-    written to an unlinked temporary file instead, so read-only
-    checkouts still get a served artifact — just not a persisted one.
+    not writable, the rebuilt artifact is written to an unlinked
+    temporary file instead, so read-only checkouts still get a served
+    artifact — just not a persisted one.
     """
     try:
         return load_artifact(path), False
     except (GraphError, OSError):
         pass
     structure = build()
-    if resave:
-        try:
-            save_artifact(structure, path)
-            return load_artifact(path), True
-        except OSError:
-            pass
+    try:
+        save_artifact(structure, path)
+        return load_artifact(path), True
+    except OSError:
+        pass
     fd, tmp = tempfile.mkstemp(suffix=".repro-artifact")
     os.close(fd)
     try:

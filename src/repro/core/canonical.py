@@ -64,11 +64,12 @@ family answers :meth:`DistanceOracle.distances_bulk` (many pairs, one
 restriction, one ban stamping) and hands out a
 :meth:`DistanceOracle.batch` planner
 (:class:`~repro.core.query_batch.PointQueryBatch`) that deduplicates
-heterogeneous feasibility probes, groups them by frozen fault set, and
-executes each group in one shot — tree repair, one C multi-pair call,
-or a pooled scalar loop.  Converted consumers (``Cons2FTBFS``, sensitivity
-oracles, replacement-path selection) plan their probes first and
-execute once; see :mod:`repro.core.query_batch`.
+heterogeneous feasibility probes and answers the misses on the
+snapshot's kernel tier — one C multi-pair call whenever the C kernel
+loads, else tree repair and a pooled scalar loop, grouped by frozen
+fault set.  Converted consumers (``Cons2FTBFS``, sensitivity oracles,
+replacement-path selection) plan their probes first and execute once;
+see :mod:`repro.core.query_batch`.
 
 Memoization of search results and point/vector distance queries lives
 in the process-wide :mod:`repro.core.snapshot_cache`: entries are keyed
@@ -237,16 +238,15 @@ class CSRLexShortestPaths:
 
     name = "lex-csr"
 
+    #: Entry-count overflow limit of the search memo namespace.
+    SEARCH_CACHE_LIMIT = 8_192
     #: Memory budget (total ints, counting each SearchResult as its two
     #: n-length vectors) for the search memo namespace — entry-count
     #: limits alone let n-sized results grow unbounded on large graphs.
     SEARCH_CACHE_INTS = 16_000_000
 
     def __init__(
-        self,
-        graph: Graph,
-        cache_size: int = 8_192,
-        cache: Optional[SnapshotCache] = None,
+        self, graph: Graph, cache: Optional[SnapshotCache] = None
     ) -> None:
         self.graph = graph
         self._csr = csr_of(graph)
@@ -260,7 +260,6 @@ class CSRLexShortestPaths:
         # actually reached — a repeat that needs more is promoted to a
         # (cached) full search.
         self._cache = shared_cache() if cache is None else cache
-        self._cache_size = cache_size
         # Snapshot-cache namespace; per engine family, so the
         # equivalence tests never compare an engine against another
         # engine's cached results.
@@ -339,7 +338,7 @@ class CSRLexShortestPaths:
                 ns,
                 key,
                 (res, True),
-                limit=self._cache_size,
+                limit=self.SEARCH_CACHE_LIMIT,
                 weight=weight,
                 weight_limit=weight_limit,
             )
@@ -353,7 +352,7 @@ class CSRLexShortestPaths:
             ns,
             key,
             (res, complete),
-            limit=self._cache_size,
+            limit=self.SEARCH_CACHE_LIMIT,
             weight=weight,
             weight_limit=weight_limit,
         )
@@ -607,16 +606,18 @@ class DistanceOracle:
     one graph share it — repeated feasibility checks across builders
     and sources are answered once per process — and graph mutation
     invalidates it wholesale.  Namespaces overflow-clear at
-    ``cache_size`` (point entries) / :data:`VEC_CACHE_LIMIT` (vector
-    entries).
+    :data:`PT_CACHE_LIMIT` (point entries) / :data:`VEC_CACHE_LIMIT`
+    (vector entries).
     """
 
-    __slots__ = ("graph", "_csr", "_cache", "_cache_size")
+    __slots__ = ("graph", "_csr", "_cache")
 
     #: Snapshot-cache namespaces, per oracle family (so equivalence
     #: tests compare independently computed results).
     _PT_NS = "pt:csr"
     _VEC_NS = "vec:csr"
+    #: Entry-count overflow limit of the point namespace.
+    PT_CACHE_LIMIT = 262_144
     #: Full distance vectors are n ints each, so their namespace gets a
     #: smaller overflow limit than scalar point entries.
     VEC_CACHE_LIMIT = 8_192
@@ -626,15 +627,11 @@ class DistanceOracle:
     VEC_CACHE_INTS = 8_000_000
 
     def __init__(
-        self,
-        graph: Graph,
-        cache_size: int = 262_144,
-        cache: Optional[SnapshotCache] = None,
+        self, graph: Graph, cache: Optional[SnapshotCache] = None
     ) -> None:
         self.graph = graph
         self._csr = csr_of(graph)
         self._cache = shared_cache() if cache is None else cache
-        self._cache_size = cache_size
 
     def _snapshot(self) -> CSRGraph:
         """The live CSR snapshot; rebuilt after mutation (which also
@@ -658,9 +655,9 @@ class DistanceOracle:
         :meth:`~repro.core.query_batch.PointQueryBatch.add`, then
         :meth:`~repro.core.query_batch.PointQueryBatch.execute` once —
         requests are deduplicated against each other and the snapshot
-        cache, grouped by frozen fault set, and each group runs in one
-        shot on this oracle's kernel (see
-        :mod:`repro.core.query_batch`).
+        cache, and the misses run on this oracle's kernel tier: one C
+        multi-pair call, or tree repair and the pooled python loop
+        grouped by frozen fault set (see :mod:`repro.core.query_batch`).
         """
         return PointQueryBatch(self)
 
@@ -708,7 +705,7 @@ class DistanceOracle:
                 )
             else:
                 d = UNREACHED  # match the legacy "never found" behavior
-            cache.put(csr, self._PT_NS, key, d, limit=self._cache_size)
+            cache.put(csr, self._PT_NS, key, d, limit=self.PT_CACHE_LIMIT)
         return INF if d == UNREACHED else d
 
     def distances_from(

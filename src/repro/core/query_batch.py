@@ -70,18 +70,10 @@ python tier), read at execution time.  A planned probe whose source
 lies outside ``[0, n)`` raises :class:`~repro.core.errors.GraphError`;
 an out-of-range target is never found (``-1``), as in the scalar
 oracle.
-
-Environment knob:
-
-``REPRO_QUERY_BATCH``
-    ``0`` disables batched execution in the converted builders (they
-    fall back to per-pair scalar queries); used by the E16 benchmark to
-    time the scalar arm.  Default ``1``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import GraphError
@@ -355,12 +347,6 @@ class _TreeRepair:
         ]
 
 
-def batching_enabled() -> bool:
-    """False iff ``REPRO_QUERY_BATCH=0`` — the scalar-arm switch used by
-    the E16 benchmark and as an operational escape hatch."""
-    return os.environ.get("REPRO_QUERY_BATCH", "1") != "0"
-
-
 class QueryHandle:
     """The (future) answer to one planned point query.
 
@@ -465,7 +451,7 @@ class PointQueryBatch:
         oracle = self._oracle
         csr = oracle._snapshot()
         cache = oracle._cache
-        limit = oracle._cache_size
+        limit = oracle.PT_CACHE_LIMIT
         n = csr.n
         st = self._stats
 

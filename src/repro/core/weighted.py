@@ -334,19 +334,16 @@ class CSRWeightedShortestPaths(_EcmpMixin):
     name = "wlex-csr"
     weighted = True
 
-    #: Memory budget (total ints) for the search memo namespace, as on
-    #: ``CSRLexShortestPaths``.
+    #: Entry-count limit and memory budget (total ints) for the search
+    #: memo namespace, as on ``CSRLexShortestPaths``.
+    SEARCH_CACHE_LIMIT = 8_192
     SEARCH_CACHE_INTS = 16_000_000
 
     def __init__(
-        self,
-        graph: Graph,
-        cache_size: int = 8_192,
-        cache: Optional[SnapshotCache] = None,
+        self, graph: Graph, cache: Optional[SnapshotCache] = None
     ) -> None:
         self.graph = graph
         self._cache = shared_cache() if cache is None else cache
-        self._cache_size = cache_size
         # "wsearch:" on purpose: it must NOT match the "search:" prefix
         # whose delta-migration certificates assume hop layering (see
         # the module docstring) — unknown namespaces are evicted.
@@ -418,7 +415,7 @@ class CSRWeightedShortestPaths(_EcmpMixin):
             res = self._run(csr, source, banned_edges, eids, verts, None)
             cache.put(
                 csr, ns, key, (res, True),
-                limit=self._cache_size, weight=weight,
+                limit=self.SEARCH_CACHE_LIMIT, weight=weight,
                 weight_limit=weight_limit,
             )
             return res
@@ -426,7 +423,7 @@ class CSRWeightedShortestPaths(_EcmpMixin):
         complete = target is None or not res.reached(target)
         cache.put(
             csr, ns, key, (res, complete),
-            limit=self._cache_size, weight=weight,
+            limit=self.SEARCH_CACHE_LIMIT, weight=weight,
             weight_limit=weight_limit,
         )
         return res
@@ -533,14 +530,11 @@ class WeightedDistanceOracle:
     ENGINE_CLASS = CSRWeightedShortestPaths
 
     def __init__(
-        self,
-        graph: Graph,
-        cache_size: int = 8_192,
-        cache: Optional[SnapshotCache] = None,
+        self, graph: Graph, cache: Optional[SnapshotCache] = None
     ) -> None:
         self.graph = graph
         if self.ENGINE_CLASS is CSRWeightedShortestPaths:
-            self._engine = CSRWeightedShortestPaths(graph, cache_size, cache)
+            self._engine = CSRWeightedShortestPaths(graph, cache)
         else:
             self._engine = self.ENGINE_CLASS(graph)
 

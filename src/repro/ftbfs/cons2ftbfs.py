@@ -31,18 +31,18 @@ collection, so the builder runs in four phases: *step 1* for every
 target at once (:func:`~repro.replacement.single.single_replacements_by_target`:
 the Eq. 3 binary searches of all targets advance in lockstep, one
 planner execution per wave, about ``log2(depth of T0)`` of them),
-*plan* (enumerate every step-2/3 fault pair and register its
-feasibility probe with a :class:`~repro.core.query_batch.PointQueryBatch`),
-*execute* (one batched resolution — deduplicated, then one C
-multi-pair call under the C kernel, or tree repair and the pooled loop
-grouped by fault set on the python tier, where a pair of π-edges
-shared by every target below it collapses whole subtrees of probes
-into one group), then *finish* (the paper's sequential per-vertex
-selection logic, consuming the precomputed distances).  A cold build
-under C thus makes a handful of planner executions.  The produced
-structure is byte-identical to the per-pair scalar path — set
-``REPRO_QUERY_BATCH=0`` to force that path (the E16 benchmark's
-baseline arm).
+*plan* (walk every step-2/3 fault pair in the paper's order,
+:func:`_fault_pairs`, and register its feasibility probe with a
+:class:`~repro.core.query_batch.PointQueryBatch`), *execute* (one
+batched resolution — deduplicated, then one C multi-pair call under
+the C kernel, or tree repair and the pooled loop grouped by fault set
+on the python tier, where a pair of π-edges shared by every target
+below it collapses whole subtrees of probes into one group), then
+*finish* (the paper's sequential per-vertex selection logic, consuming
+the precomputed distances).  A cold build under C thus makes a handful
+of planner executions.  Every probe is exact, so the structure is the
+one the paper's per-pair loop selects; ``--engine lex`` builds it on
+the independent reference engine and oracle.
 
 One check stays outside the plan phase: the ``d_restricted`` test of
 step 3 asks whether ``dist(s, v, G')`` still equals the pair's target,
@@ -67,7 +67,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.canonical import INF
 from repro.core.graph import Edge, Graph, normalize_edge
 from repro.core.paths import Path
-from repro.core.query_batch import QueryHandle, batching_enabled
+from repro.core.query_batch import QueryHandle
 from repro.ftbfs.structures import FTStructure, make_structure
 from repro.replacement.base import SourceContext
 from repro.replacement.dual import DualReplacement, pid_replacement, pipi_replacement
@@ -140,10 +140,9 @@ def build_cons2ftbfs(
     # See module docstring.
     targets = [v for v in tree.vertices() if v != source]
     singles = single_replacements_by_target(ctx, targets)
-    batch = ctx.query_batch() if batching_enabled() else None
+    batch = ctx.query_batch()
     plans = [_plan_vertex(ctx, v, singles[v], batch) for v in targets]
-    if batch is not None:
-        batch.execute()
+    batch.execute()
 
     for plan in plans:
         record = _finish_vertex(ctx, plan, keep_records, rule)
@@ -188,22 +187,47 @@ def _incident_tree_edges(tree, v: int) -> Set[Edge]:
     return out
 
 
+def _fault_pairs(
+    singles: Dict[Edge, Optional[SingleReplacement]],
+) -> Tuple[
+    List[Tuple[SingleReplacement, SingleReplacement]],
+    List[Tuple[SingleReplacement, Edge]],
+]:
+    """One target's step-2 and step-3 fault pairs, in the paper's order.
+
+    ``singles`` is the target's step-1 dict (keys in π order).  Step 2
+    pairs two π-edges, upper first, top to bottom; step 3 pairs a
+    π-edge with an edge of its detour, deepest π-edge first and, per
+    π-edge, deepest detour edge first.  A bridge (``None`` single)
+    pairs with nothing: it disconnects the target on its own.
+    """
+    reps = [rep for rep in singles.values() if rep is not None]
+    pipi = [
+        (upper, lower) for i, upper in enumerate(reps) for lower in reps[i + 1 :]
+    ]
+    pid = [
+        (rep, normalize_edge(a, b))
+        for rep in reversed(reps)
+        for a, b in reversed(rep.detour.directed_edges())
+    ]
+    return pipi, pid
+
+
 @dataclass
 class _VertexPlan:
     """One target's planned step-2/3 work: fault pairs + query handles.
 
-    ``pipi``/``pid`` hold the pairs in exactly the iteration order the
-    scalar algorithm uses; each entry carries the
+    ``pipi``/``pid`` hold the pairs of :func:`_fault_pairs`, in its
+    order; each entry carries the
     :class:`~repro.core.query_batch.QueryHandle` of its feasibility
-    probe (``None`` when batching is disabled, in which case
-    :func:`_finish_vertex` issues the scalar point query instead).
+    probe.
     """
 
     vertex: int
     pi_path: Path
     singles: Dict[Edge, Optional[SingleReplacement]]
-    pipi: List[Tuple[SingleReplacement, SingleReplacement, Optional[QueryHandle]]]
-    pid: List[Tuple[SingleReplacement, Edge, Optional[QueryHandle]]]
+    pipi: List[Tuple[SingleReplacement, SingleReplacement, QueryHandle]]
+    pid: List[Tuple[SingleReplacement, Edge, QueryHandle]]
 
 
 def _plan_vertex(
@@ -213,7 +237,7 @@ def _plan_vertex(
     batch,
 ) -> _VertexPlan:
     """The plan of every step-2/3 feasibility probe of ``v``, from its
-    step-1 ``singles``.
+    step-1 ``singles``, registered with ``batch``.
 
     The probes registered here are pure functions of ``(v, F)`` — they
     do not see the evolving edge collection — which is what makes them
@@ -221,50 +245,25 @@ def _plan_vertex(
     target below its lower edge, so these probes collapse into large
     single-fault-set groups at execution time.
     """
-    pi_path = ctx.pi(v)
-    pi_edges = [normalize_edge(a, b) for a, b in pi_path.directed_edges()]
     source = ctx.source
-
-    pipi: List[Tuple[SingleReplacement, SingleReplacement, Optional[QueryHandle]]] = []
-    for i in range(len(pi_edges)):
-        upper = singles[pi_edges[i]]
-        if upper is None:
-            continue  # bridge above: the pair disconnects v as well
-        for j in range(i + 1, len(pi_edges)):
-            lower = singles[pi_edges[j]]
-            if lower is None:
-                continue
-            if batch is None:
-                handle = None
-            elif not upper.path.has_edge(*lower.fault):
-                # Step-1 certificate: P_{s,v,{e_i}} survives in
-                # G \ {e_i, e_j}, and by restriction monotonicity its
-                # length *is* dist(s, v, G \ {e_i, e_j}) — the pair's
-                # feasibility probe resolves with zero traversal.
-                handle = QueryHandle.resolved(len(upper.path))
-            elif not lower.path.has_edge(*upper.fault):
-                handle = QueryHandle.resolved(len(lower.path))
-            else:
-                handle = batch.add(source, v, (upper.fault, lower.fault))
-            pipi.append((upper, lower, handle))
-
-    pid: List[Tuple[SingleReplacement, Edge, Optional[QueryHandle]]] = []
-    for e in reversed(pi_edges):  # deepest first fault first
-        rep = singles[e]
-        if rep is None:
-            continue
-        detour_edges = [
-            normalize_edge(a, b) for a, b in rep.detour.directed_edges()
-        ]
-        for t in reversed(detour_edges):  # deepest detour fault first
-            handle = (
-                batch.add(source, v, (rep.fault, t))
-                if batch is not None
-                else None
-            )
-            pid.append((rep, t, handle))
-
-    return _VertexPlan(vertex=v, pi_path=pi_path, singles=singles, pipi=pipi, pid=pid)
+    pipi_pairs, pid_pairs = _fault_pairs(singles)
+    pipi = []
+    for upper, lower in pipi_pairs:
+        if not upper.path.has_edge(*lower.fault):
+            # Step-1 certificate: P_{s,v,{e_i}} survives in
+            # G \ {e_i, e_j}, and by restriction monotonicity its
+            # length *is* dist(s, v, G \ {e_i, e_j}) — the pair's
+            # feasibility probe resolves with zero traversal.
+            handle = QueryHandle.resolved(len(upper.path))
+        elif not lower.path.has_edge(*upper.fault):
+            handle = QueryHandle.resolved(len(lower.path))
+        else:
+            handle = batch.add(source, v, (upper.fault, lower.fault))
+        pipi.append((upper, lower, handle))
+    pid = [(rep, t, batch.add(source, v, (rep.fault, t))) for rep, t in pid_pairs]
+    return _VertexPlan(
+        vertex=v, pi_path=ctx.pi(v), singles=singles, pipi=pipi, pid=pid
+    )
 
 
 class _DepthRule:
@@ -389,8 +388,7 @@ def _finish_vertex(
     # Step 2: both faults on π(s, v).
     # ------------------------------------------------------------------
     for upper, lower, handle in plan.pipi:
-        target = handle.distance if handle is not None else None
-        rec = pipi_replacement(ctx, v, upper, lower, target=target)
+        rec = pipi_replacement(ctx, v, upper, lower, target=handle.distance)
         if rec is None:
             continue
         le = rec.path.last_edge()
@@ -409,11 +407,7 @@ def _finish_vertex(
     entries = [rule.entry(v, e) for e in collected] if rule is not None else None
     for rep, t, handle in plan.pid:
         faults = (rep.fault, t)
-        target = (
-            handle.distance
-            if handle is not None
-            else ctx.distance(v, banned_edges=faults)
-        )
+        target = handle.distance
         if target == INF:
             continue
         satisfied = rule.decide(entries, faults, target) if rule is not None else None
@@ -454,33 +448,15 @@ def feasibility_probes(
     singles computation) as a side effect.
     """
     out: List[Tuple[int, Tuple[Edge, Edge], Optional[Tuple[Path, Path]]]] = []
-    tree = ctx.tree
-    for v in tree.vertices():
+    for v in ctx.tree.vertices():
         if v == ctx.source:
             continue
-        pi_path = ctx.pi(v)
-        singles = all_single_replacements(ctx, v)
-        pi_edges = [normalize_edge(a, b) for a, b in pi_path.directed_edges()]
-        for i in range(len(pi_edges)):
-            upper = singles[pi_edges[i]]
-            if upper is None:
-                continue
-            for j in range(i + 1, len(pi_edges)):
-                lower = singles[pi_edges[j]]
-                if lower is None:
-                    continue
-                out.append(
-                    (v, (upper.fault, lower.fault), (upper.path, lower.path))
-                )
-        for e in reversed(pi_edges):
-            rep = singles[e]
-            if rep is None:
-                continue
-            detour_edges = [
-                normalize_edge(a, b) for a, b in rep.detour.directed_edges()
-            ]
-            for t in reversed(detour_edges):
-                out.append((v, (rep.fault, t), None))
+        pipi, pid = _fault_pairs(all_single_replacements(ctx, v))
+        out.extend(
+            (v, (upper.fault, lower.fault), (upper.path, lower.path))
+            for upper, lower in pipi
+        )
+        out.extend((v, (rep.fault, t), None) for rep, t in pid)
     return out
 
 

@@ -186,9 +186,10 @@ class FTQueryOracle:
         """``dist(source, t, H \\ F)`` for many targets in one execution.
 
         The batch-first sibling of :meth:`distance` for serving-side
-        workloads: one fault-set normalization and ban stamping for the
-        whole group, answers shared with the scalar path's memo, and
-        one C multi-pair call for the pairs the tree repair leaves.
+        workloads: answers are shared with the scalar path's memo, and
+        the misses run on the snapshot's kernel tier — one C multi-pair
+        call, or tree repair and then the pooled python loop with one
+        ban stamping for the group.
         Values align with ``targets`` (``inf`` where ``F`` cuts the
         pair) and are element-for-element identical to per-target
         :meth:`distance` calls.
@@ -203,7 +204,8 @@ class FTQueryOracle:
 
         See :class:`repro.core.query_batch.PointQueryBatch`: plan
         ``(source, target, faults)`` probes across *different* fault
-        sets, then execute once — grouped by frozen fault set.  The
+        sets, then execute once — the misses in one C multi-pair call,
+        or grouped by frozen fault set on the python kernel.  The
         caller is responsible for staying within the structure's fault
         budget (:meth:`distance` checks per query; the raw planner does
         not).

@@ -267,7 +267,6 @@ def pid_replacement(
     single: SingleReplacement,
     second_fault: Sequence[int],
     *,
-    linear: bool = False,
     target: Optional[float] = None,
 ) -> Optional[DualReplacement]:
     """``P_{s,v,{e,t}}`` for ``e ∈ π(s, v)``, ``t ∈ D(e)`` (Step 3 selection).
@@ -290,7 +289,7 @@ def pid_replacement(
     pi_path = ctx.pi(v)
     upper_index = min(pi_path.position(e[0]), pi_path.position(e[1]))
 
-    k = earliest_pi_divergence(ctx, v, faults, upper_index, linear=linear)
+    k = earliest_pi_divergence(ctx, v, faults, upper_index)
     if k is None:
         # Every shortest path re-uses π below the fault; fall back to
         # the unconstrained canonical choice.
@@ -311,9 +310,7 @@ def pid_replacement(
     # b == x: additionally push the divergence from the detour as close
     # to x as possible (Eq. 4 restriction).
     detour = single.detour
-    ell = earliest_detour_divergence(
-        ctx, v, faults, detour, t, target, pi_ban, linear=linear
-    )
+    ell = earliest_detour_divergence(ctx, v, faults, detour, t, target, pi_ban)
     if ell is None:
         path = ctx.canonical_path(v, banned_edges=faults, banned_vertices=pi_ban)
         return _finish_pid(ctx, v, faults, path, single, fallback=True)

@@ -19,34 +19,34 @@ endpoints ``x_i = u_k`` and ``y_i``.
 This module computes those paths and their decompositions.  Feasibility
 in ``k`` is monotone (masking a shorter prefix only removes paths), so
 the minimal ``k`` is located by binary search; a linear-scan reference
-is retained for tests.
+(``earliest_divergence_index(..., linear=True)``) is retained for tests.
 
-:func:`single_replacements_by_target` runs the binary searches of
-every ``(target, π-edge)`` pair in *lockstep waves*: each round collects
-the current probe of every still-active search, across all targets,
-and resolves them through one
-:class:`~repro.core.query_batch.PointQueryBatch` execution.  A whole
-build's step 1 therefore costs about ``log2(depth of T0)`` executions:
-under the C kernel each is one multi-pair call, and on the python tier
-the probes of one wave that share a fault and a masked segment (every
-target below the fault, at the same ``k``) share one ban stamping.
-:func:`all_single_replacements` is its one-target call.  Every
-individual search follows the exact probe sequence of the scalar
-binary search, so the selected divergence indices (and hence the
-replacement paths) are identical; ``REPRO_QUERY_BATCH=0`` or
-``linear=True`` forces the scalar path.
+The one binary search, :func:`_batched_divergence_indices`, runs the
+searches of many ``(target, π-edge)`` pairs in *lockstep waves*: each
+round collects the current probe of every still-active search and
+resolves them through one
+:class:`~repro.core.query_batch.PointQueryBatch` execution.
+:func:`single_replacements_by_target` hands it every pair of every
+target, so a whole build's step 1 costs about ``log2(depth of T0)``
+executions: under the C kernel each is one multi-pair call, and on the
+python tier the probes of one wave that share a fault and a masked
+segment (every target below the fault, at the same ``k``) share one ban
+stamping.  :func:`all_single_replacements` is its one-target call, and
+:func:`earliest_divergence_index` runs the waves on one pair.  Each
+search probes the same sequence of ``k`` however many searches share
+its waves, so the selected divergence indices (and hence the
+replacement paths) do not depend on the batching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.canonical import INF, UNREACHED
 from repro.core.errors import ConstructionError
 from repro.core.graph import Edge, normalize_edge
 from repro.core.paths import Path
-from repro.core.query_batch import batching_enabled
 from repro.replacement.base import SourceContext
 
 
@@ -142,37 +142,23 @@ def earliest_divergence_index(
     """Minimal ``k`` such that ``G(u_k, u_i) \\ {e_i}`` stays optimal.
 
     ``fault = (u_i, u_{i+1})`` must lie on ``π(s, v)``.  Returns ``None``
-    when ``v`` is disconnected by the failure.  ``linear=True`` uses the
-    O(depth) reference scan instead of the binary search.
+    when ``v`` is disconnected by the failure.  The binary search is
+    :func:`_batched_divergence_indices` on this one pair;
+    ``linear=True`` runs the O(depth) reference scan instead.
     """
+    e = normalize_edge(fault[0], fault[1])
+    if not linear:
+        return _batched_divergence_indices(ctx, ((v, e),))[v, e]
     pi_path = ctx.pi(v)
-    upper = min(pi_path.position(fault[0]), pi_path.position(fault[1]))
-    # One full BFS per fault serves every affected target (cached on
-    # the context) — cheaper than a point query per (target, fault).
-    target_dist = ctx.fault_distance(v, fault)
+    upper = min(pi_path.position(e[0]), pi_path.position(e[1]))
+    target_dist = ctx.fault_distance(v, e)
     if target_dist == INF:
         return None
-
-    def feasible(k: int) -> bool:
-        banned_v = ctx.pi_segment_interior_ban(
-            pi_path, pi_path[k], pi_path[upper]
-        )
-        d = ctx.distance(v, banned_edges=(fault,), banned_vertices=banned_v)
-        return d == target_dist
-
-    if linear:
-        for k in range(upper + 1):
-            if feasible(k):
-                return k
-        raise ConstructionError("no feasible divergence index (k = i must work)")
-    lo, hi = 0, upper  # feasible(upper) always holds: G(u_i, u_i) = G.
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    for k in range(upper + 1):
+        banned_v = ctx.pi_segment_interior_ban(pi_path, pi_path[k], pi_path[upper])
+        if ctx.distance(v, banned_edges=(e,), banned_vertices=banned_v) == target_dist:
+            return k
+    raise ConstructionError("no feasible divergence index (k = i must work)")
 
 
 def _selected_replacement(
@@ -186,11 +172,7 @@ def _selected_replacement(
 
 
 def single_replacement(
-    ctx: SourceContext,
-    v: int,
-    fault: Sequence[int],
-    *,
-    linear: bool = False,
+    ctx: SourceContext, v: int, fault: Sequence[int]
 ) -> Optional[SingleReplacement]:
     """Compute the selected ``P_{s,v,{e_i}}`` with its decomposition.
 
@@ -200,40 +182,38 @@ def single_replacement(
     pi_path = ctx.pi(v)
     if not pi_path.has_edge(*e):
         raise ConstructionError(f"fault {e} is not on π(s, {v})")
-    k = earliest_divergence_index(ctx, v, e, linear=linear)
+    k = earliest_divergence_index(ctx, v, e)
     if k is None:
         return None
     return _selected_replacement(ctx, v, pi_path, e, k)
 
 
 def _batched_divergence_indices(
-    ctx: SourceContext, targets: Sequence[int]
+    ctx: SourceContext, pairs: Iterable[Tuple[int, Edge]]
 ) -> Dict[Tuple[int, Edge], Optional[int]]:
-    """Minimal divergence index per ``(target, π-edge)``, in lockstep.
+    """Minimal divergence index per ``(target, π-edge)`` pair, in lockstep.
 
-    One binary search runs per target ``v`` and edge ``e`` of
-    ``π(s, v)``.  Each wave gathers the pending probe of every still-
-    active search, across all ``targets``, and resolves them in one
-    batched execution; per search the probe sequence — and therefore
-    the selected index — is exactly that of
-    :func:`earliest_divergence_index`.  Entries are ``None`` for bridge
-    faults that disconnect ``v``.
+    The binary search of step 1: one search per pair ``(v, e)``, ``e``
+    a normalized edge of ``π(s, v)``.  Each wave gathers the pending
+    probe of every still-active search and resolves them in one batched
+    execution, so the wave count is that of the longest search, not
+    the number of pairs.  Entries are ``None`` for bridge faults that
+    disconnect ``v``.
     """
     out: Dict[Tuple[int, Edge], Optional[int]] = {}
     # Per active search: [v, π(s, v), fault, upper, target hops, lo, hi].
     states: List[list] = []
-    for v in targets:
+    for v, e in pairs:
+        # One full BFS per fault serves every affected target (cached
+        # on the context); raw hops, -1 = disconnected.
+        target = ctx.fault_distances(e)[v]
+        if target == UNREACHED:
+            out[v, e] = None
+            continue
         pi_path = ctx.pi(v)
-        # Edge i of π joins u_i and u_{i+1}, so its upper index is i.
-        for upper, (a, b) in enumerate(pi_path.directed_edges()):
-            e = normalize_edge(a, b)
-            # One full BFS per fault serves every affected target
-            # (cached on the context); raw hops, -1 = disconnected.
-            target = ctx.fault_distances(e)[v]
-            if target == UNREACHED:
-                out[v, e] = None
-                continue
-            states.append([v, pi_path, e, upper, target, 0, upper])
+        # e = (u_i, u_{i+1}): k = i always works, since G(u_i, u_i) = G.
+        upper = min(pi_path.position(e[0]), pi_path.position(e[1]))
+        states.append([v, pi_path, e, upper, target, 0, upper])
     batch = ctx.query_batch()
     source = ctx.source
     active = [st for st in states if st[5] < st[6]]
@@ -257,29 +237,19 @@ def _batched_divergence_indices(
 
 
 def single_replacements_by_target(
-    ctx: SourceContext,
-    targets: Sequence[int],
-    *,
-    linear: bool = False,
+    ctx: SourceContext, targets: Sequence[int]
 ) -> Dict[int, Dict[Edge, Optional[SingleReplacement]]]:
     """:func:`all_single_replacements` for every target at once.
 
     Maps each target ``v`` to its ``{e_i: P_{s,v,{e_i}}}`` dict (keys in
     π order, ``None`` for bridges).  The binary searches of all targets
     run in one set of lockstep waves (see module docstring), so a whole
-    build's step 1 costs about ``log2(depth of T0)`` planner executions;
-    ``linear`` or ``REPRO_QUERY_BATCH=0`` forces the scalar reference
-    path.  Selected paths are identical either way.
+    build's step 1 costs about ``log2(depth of T0)`` planner executions.
     """
     out: Dict[int, Dict[Edge, Optional[SingleReplacement]]] = {}
-    if linear or not batching_enabled():
-        for v in targets:
-            out[v] = {
-                e: single_replacement(ctx, v, e, linear=linear)
-                for e in _pi_edges(ctx.pi(v))
-            }
-        return out
-    indices = _batched_divergence_indices(ctx, targets)
+    indices = _batched_divergence_indices(
+        ctx, [(v, e) for v in targets for e in _pi_edges(ctx.pi(v))]
+    )
     for v in targets:
         pi_path = ctx.pi(v)
         singles: Dict[Edge, Optional[SingleReplacement]] = {}
@@ -293,21 +263,16 @@ def single_replacements_by_target(
 
 
 def all_single_replacements(
-    ctx: SourceContext,
-    v: int,
-    *,
-    linear: bool = False,
+    ctx: SourceContext, v: int
 ) -> Dict[Edge, Optional[SingleReplacement]]:
     """``P_{s,v,{e_i}}`` for every ``e_i ∈ π(s, v)``, keyed by edge.
 
     Entries are ``None`` for bridge edges whose removal disconnects
     ``v``.  Keys iterate in π order (top to bottom).  The one-target
     call of :func:`single_replacements_by_target`: the per-fault
-    divergence binary searches run in batched lockstep waves unless
-    ``linear`` or ``REPRO_QUERY_BATCH=0`` forces the scalar reference
-    path; selected paths are identical either way.
+    divergence binary searches run in batched lockstep waves.
     """
-    return single_replacements_by_target(ctx, (v,), linear=linear)[v]
+    return single_replacements_by_target(ctx, (v,))[v]
 
 
 def _pi_edges(pi_path: Path) -> List[Edge]:

@@ -6,10 +6,11 @@ from collections import Counter
 import pytest
 
 from repro.core.canonical import INF
-from repro.core.graph import Graph, normalize_edge
+from repro.core.graph import Graph
 from repro.core.snapshot_cache import shared_cache
 from repro.ftbfs.cons2ftbfs import (
     _DepthRule,
+    _fault_pairs,
     _incident_tree_edges,
     build_cons2ftbfs,
     feasibility_probes,
@@ -84,36 +85,34 @@ class TestAccounting:
 
 class TestStep3Ordering:
     def test_pairs_enumerated_deepest_first(self):
-        """The (e, t) walk matches the paper's decreasing order."""
+        """The shared step-2/3 pair walk is complete and in the paper's
+        order: step-2 pairs top to bottom, upper π-edge first; step-3
+        ``(e, t)`` pairs by decreasing depth of ``e`` on π, then of
+        ``t`` on the detour of ``e``."""
         g = tree_plus_chords(18, 9, seed=42)
         ctx = SourceContext(g, 0)
         from repro.replacement.single import all_single_replacements
 
+        walked = 0
         for v in list(ctx.tree.vertices())[1:8]:
             pi_path = ctx.pi(v)
-            pi_edges = [normalize_edge(a, b) for a, b in pi_path.directed_edges()]
             singles = all_single_replacements(ctx, v)
-            pairs = []
-            for e in reversed(pi_edges):
-                rep = singles[e]
-                if rep is None:
-                    continue
-                det_edges = [
-                    normalize_edge(a, b) for a, b in rep.detour.directed_edges()
-                ]
-                for t in reversed(det_edges):
-                    pairs.append((e, t, rep))
-            # primary key: e depth decreasing
-            depths = [pi_path.edge_position(e) for e, _, _ in pairs]
-            assert depths == sorted(depths, reverse=True)
-            # secondary: within equal e, t positions decreasing on detour
-            for i in range(len(pairs) - 1):
-                e1, t1, rep1 = pairs[i]
-                e2, t2, _ = pairs[i + 1]
-                if e1 == e2:
-                    p1 = rep1.detour.edge_position(t1)
-                    p2 = rep1.detour.edge_position(t2)
-                    assert p1 > p2
+            reps = [rep for rep in singles.values() if rep is not None]
+            pipi, pid = _fault_pairs(singles)
+            assert len(pipi) == len(reps) * (len(reps) - 1) // 2
+            assert len(pid) == sum(len(rep.detour) for rep in reps)
+            keys = [
+                (pi_path.edge_position(u.fault), pi_path.edge_position(w.fault))
+                for u, w in pipi
+            ]
+            assert all(a < b for a, b in keys) and keys == sorted(keys)
+            keys = [
+                (-pi_path.edge_position(rep.fault), -rep.detour.edge_position(t))
+                for rep, t in pid
+            ]
+            assert keys == sorted(set(keys))
+            walked += len(pid)
+        assert walked
 
 
 #: The zoo plus the Cons2FTBFS build shapes, as graph factories; a

@@ -11,6 +11,8 @@ that decay into test failures:
   ``docs/tuning.md`` (the "every env var" contract of that page);
 * the architecture diagram in ``docs/architecture.md`` is byte-equal
   to the one in ``ROADMAP.md`` (single source of truth, two copies);
+* every ``*.md`` file named in the code under ``src/`` and
+  ``benchmarks/`` exists;
 * every example script is linked from the README and carries a module
   docstring with run instructions and an expected-output note.
 """
@@ -26,6 +28,7 @@ ENV_RE = re.compile(r"REPRO_[A-Z0-9_]+")
 PATH_RE = re.compile(
     r"`((?:src|docs|tests|benchmarks|examples)/[A-Za-z0-9_./-]+)`"
 )
+MD_NAME_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
 
 
 def test_doc_files_exist():
@@ -63,6 +66,18 @@ def test_backtick_path_references_resolve():
             if not (ROOT / ref).exists():
                 broken.append(f"{doc.relative_to(ROOT)} -> {ref}")
     assert not broken, f"stale path references: {broken}"
+
+
+def test_markdown_names_in_code_exist():
+    """Docstrings and comments name docs by path; bare names (no
+    directory) resolve from the repo root."""
+    missing = []
+    for base in ("src", "benchmarks"):
+        for path in sorted((ROOT / base).rglob("*.py")):
+            for name in MD_NAME_RE.findall(path.read_text()):
+                if not (ROOT / name).is_file():
+                    missing.append(f"{path.relative_to(ROOT)} -> {name}")
+    assert not missing, f"code names missing markdown files: {missing}"
 
 
 def _source_env_vars():

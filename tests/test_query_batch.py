@@ -6,13 +6,15 @@ family (legacy python, CSR), every executor strategy (snapshot-cache
 hits, tree-repair, cross-query C multi-pair kernel, pooled scalar
 fallback), and the fault-set grouping
 edge cases: empty batches, duplicate pairs, shared and disjoint fault
-sets, vertex bans, disconnected and out-of-range targets.  The
-converted builders must produce byte-identical structures with
-batching on and off.
+sets, vertex bans, disconnected and out-of-range targets.  Every
+feasibility answer the ``Cons2FTBFS`` plan hands its finish phase must
+equal an independent oracle's, and the ``lex`` and ``lex-csr`` builds
+must agree.
 """
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +29,10 @@ from repro.core.query_batch import (
     _TreeRepair,
 )
 from repro.core.snapshot_cache import shared_cache
-from repro.ftbfs.cons2ftbfs import build_cons2ftbfs, feasibility_probes
+from repro.ftbfs.cons2ftbfs import _plan_vertex, build_cons2ftbfs, feasibility_probes
 from repro.generators import erdos_renyi, path_graph, tree_plus_chords
 from repro.replacement.base import SourceContext
+from repro.replacement.single import single_replacements_by_target
 
 from tests.zoo import CONS2_SHAPES, zoo_params
 
@@ -419,29 +422,56 @@ def test_repair_cap_controls_strategy(monkeypatch):
     assert results["0"] == results["100000"]
 
 
-@pytest.mark.parametrize(
-    "shape,engine",
-    [
-        pytest.param(shape, engine, id=shape + engine)
-        for shape in CONS2_SHAPES
-        for engine in ("lex", "lex-csr")
-    ],
-)
-def test_cons2_builds_identical_with_and_without_batching(shape, engine, monkeypatch):
+@pytest.mark.parametrize("shape", list(CONS2_SHAPES))
+def test_plan_handles_match_independent_oracle(shape):
+    """Every handle ``_plan_vertex`` gives the finish phase — planned
+    probes and zero-traversal step-1 certificates alike — holds
+    ``dist(s, v, G \\ F)`` as the legacy python oracle computes it: an
+    independent kernel with no shared memo."""
+    g = CONS2_SHAPES[shape]()
+    shared_cache().clear()
+    ctx = SourceContext(g, 0)
+    targets = [v for v in ctx.tree.vertices() if v != 0]
+    singles = single_replacements_by_target(ctx, targets)
+    batch = ctx.query_batch()
+    plans = [_plan_vertex(ctx, v, singles[v], batch) for v in targets]
+    batch.execute()
+    reference = PythonDistanceOracle(g)
+    kinds = Counter()
+    for plan in plans:
+        v = plan.vertex
+        for upper, lower, handle in plan.pipi:
+            certified = not (
+                upper.path.has_edge(*lower.fault)
+                and lower.path.has_edge(*upper.fault)
+            )
+            kinds["certified" if certified else "planned"] += 1
+            faults = (upper.fault, lower.fault)
+            assert handle.distance == reference.distance(0, v, faults)
+        for rep, t, handle in plan.pid:
+            kinds["planned"] += 1
+            assert handle.distance == reference.distance(0, v, (rep.fault, t))
+    assert kinds["certified"] and kinds["planned"]
+
+
+@pytest.mark.parametrize("shape", list(CONS2_SHAPES))
+def test_cons2_lex_and_lex_csr_builds_agree(shape):
+    """The reference engine and oracle (``lex``: one scalar query per
+    unique probe) and the default ``lex-csr`` build the same structure
+    with the same step counters."""
     g = CONS2_SHAPES[shape]()
     structures = {}
-    for mode in ("1", "0"):
-        monkeypatch.setenv("REPRO_QUERY_BATCH", mode)
+    for engine in ("lex", "lex-csr"):
         shared_cache().clear()
-        h = build_cons2ftbfs(g, 0, engine=engine, keep_records=True)
-        structures[mode] = (
+        h = build_cons2ftbfs(g, 0, engine=engine)
+        structures[engine] = (
             h.edges,
             h.stats["new_edges_per_vertex"],
             h.stats["new_ending_paths"],
             h.stats["satisfied_pairs"],
             h.stats["new_edges_by_phase"],
         )
-    assert structures["1"] == structures["0"]
+    assert structures["lex"] == structures["lex-csr"]
 
 
 @needs_ckernel

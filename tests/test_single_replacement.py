@@ -91,6 +91,8 @@ def test_earliest_divergence_beats_plain(name, graph):
 
 @zoo_params()
 def test_binary_search_matches_linear_scan(name, graph):
+    """Step 1's binary search, run as lockstep waves on one pair, finds
+    the reference linear scan's minimal divergence index."""
     ctx, targets = contexts_and_targets(graph, limit=6)
     for v in targets:
         pi_path = ctx.pi(v)

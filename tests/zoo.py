@@ -43,10 +43,11 @@ def graph_zoo():
 
 
 #: Cons2FTBFS build shapes, keyed by test id prefix (the small default
-#: shape has none): the batched-vs-scalar identity check and the step-3
-#: depth-rule check run on each.  ``er-dense`` has many step-3
-#: new-ending events, i.e. d_restricted restrictions that shrink
-#: mid-loop.
+#: shape has none): the planned-probe check against an independent
+#: oracle, the lex vs lex-csr build agreement, the build-wide step-1
+#: check and the step-3 depth-rule check run on each.  ``er-dense`` has
+#: many step-3 new-ending events, i.e. d_restricted restrictions that
+#: shrink mid-loop.
 CONS2_SHAPES = {
     "": lambda: tree_plus_chords(40, 18, seed=6),
     "chords-": lambda: tree_plus_chords(120, 45, seed=6),
