@@ -62,7 +62,6 @@ from repro.core import (
     LegacyQueryBatch,
     LexShortestPaths,
     PointQueryBatch,
-    QueryHandle,
     Path,
     PathError,
     PerturbedShortestPaths,

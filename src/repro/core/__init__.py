@@ -31,7 +31,7 @@ from repro.core.canonical import (
     normalize_distances,
 )
 from repro.core.csr import CSRGraph, csr_of
-from repro.core.query_batch import LegacyQueryBatch, PointQueryBatch, QueryHandle
+from repro.core.query_batch import LegacyQueryBatch, PointQueryBatch
 from repro.core.snapshot_cache import SnapshotCache, shared_cache
 from repro.core.errors import (
     ConstructionError,
@@ -94,7 +94,6 @@ __all__ = [
     "PerturbedShortestPaths",
     "PointQueryBatch",
     "PythonDistanceOracle",
-    "QueryHandle",
     "ReproError",
     "Scenario",
     "SearchResult",

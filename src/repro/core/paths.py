@@ -26,19 +26,30 @@ class Path:
     as in the paper, even though the underlying graph is undirected.
     """
 
-    __slots__ = ("_vertices", "_index")
+    __slots__ = ("_vertices", "_pos")
 
     def __init__(self, vertices: Sequence[int]) -> None:
-        vs = list(vertices)
+        vs = tuple(vertices)
         if not vs:
             raise PathError("a path must contain at least one vertex")
-        index: Dict[int, int] = {}
-        for i, v in enumerate(vs):
-            if v in index:
-                raise PathError(f"vertex {v} repeats in path {vs}")
-            index[v] = i
-        self._vertices: Tuple[int, ...] = tuple(vs)
-        self._index: Dict[int, int] = index
+        if len(set(vs)) != len(vs):
+            seen: Set[int] = set()
+            for v in vs:
+                if v in seen:
+                    raise PathError(f"vertex {v} repeats in path {list(vs)}")
+                seen.add(v)
+        self._vertices: Tuple[int, ...] = vs
+        # vertex -> position, built on first use (see _index): a path
+        # that is only read as a vertex sequence never pays for it.
+        self._pos: Optional[Dict[int, int]] = None
+
+    @property
+    def _index(self) -> Dict[int, int]:
+        """The vertex → position map, built on first use."""
+        pos = self._pos
+        if pos is None:
+            pos = self._pos = {v: i for i, v in enumerate(self._vertices)}
+        return pos
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -122,8 +133,9 @@ class Path:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff the undirected edge ``{u, v}`` lies on the path."""
-        iu = self._index.get(u)
-        iv = self._index.get(v)
+        index = self._index
+        iu = index.get(u)
+        iv = index.get(v)
         if iu is None or iv is None:
             return False
         return abs(iu - iv) == 1
@@ -145,8 +157,9 @@ class Path:
         positions ``i-1`` and ``i`` has depth ``i``.
         """
         u, v = e
-        iu = self._index.get(u)
-        iv = self._index.get(v)
+        index = self._index
+        iu = index.get(u)
+        iv = index.get(v)
         if iu is None or iv is None or abs(iu - iv) != 1:
             raise PathError(f"edge {tuple(e)} not on {self!r}")
         return max(iu, iv)
@@ -194,9 +207,10 @@ class Path:
     # ------------------------------------------------------------------
     def common_vertices(self, other: "Path") -> Set[int]:
         """``V(P1) ∩ V(P2)``."""
-        if len(self._index) > len(other._index):
+        if len(self._vertices) > len(other._vertices):
             self, other = other, self
-        return {v for v in self._index if v in other._index}
+        index = other._index
+        return {v for v in self._vertices if v in index}
 
     def is_internally_disjoint(self, other: "Path", ignore: Iterable[int] = ()) -> bool:
         """True iff the paths share no vertices outside ``ignore``."""
@@ -205,15 +219,17 @@ class Path:
 
     def first_common_vertex(self, other: "Path") -> Optional[int]:
         """``First(P1, P2)``: first vertex on *this* path also on ``other``."""
+        index = other._index
         for v in self._vertices:
-            if v in other._index:
+            if v in index:
                 return v
         return None
 
     def last_common_vertex(self, other: "Path") -> Optional[int]:
         """``Last(P1, P2)``: last vertex on *this* path also on ``other``."""
+        index = other._index
         for v in reversed(self._vertices):
-            if v in other._index:
+            if v in index:
                 return v
         return None
 
@@ -225,17 +241,19 @@ class Path:
         Returns the first such vertex in path order, or ``None``.
         """
         vs = self._vertices
+        index = other._index
         for i, w in enumerate(vs[:-1]):
-            if w in other._index and vs[i + 1] not in other._index:
+            if w in index and vs[i + 1] not in index:
                 return w
         return None
 
     def divergence_points(self, other: "Path") -> List[int]:
         """All divergence points of this path from ``other``, in order."""
         vs = self._vertices
+        index = other._index
         out = []
         for i, w in enumerate(vs[:-1]):
-            if w in other._index and vs[i + 1] not in other._index:
+            if w in index and vs[i + 1] not in index:
                 out.append(w)
         return out
 

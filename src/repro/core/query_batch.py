@@ -9,16 +9,18 @@ trip, and triples that share a fault set repeat its normalization and
 stamping.  This module makes *the batch* the unit of work:
 
 **Plan.**  A :class:`PointQueryBatch` accumulates point-query requests
-without executing anything; each :meth:`~PointQueryBatch.add` returns a
-:class:`QueryHandle` that will carry the answer after
-:meth:`~PointQueryBatch.execute`.  Consumers are rewritten in
+without executing anything; each :meth:`~PointQueryBatch.add` returns
+the request's slot, a plain int: its index into the answer list that
+:meth:`~PointQueryBatch.execute` returns (0, 1, 2, ... in plan order,
+from 0 again after each execution).  Consumers are rewritten in
 plan-then-execute style: first walk their candidate space recording
-every feasibility probe, then execute once, then consume the answers
-(see :mod:`repro.ftbfs.cons2ftbfs` for the flagship conversion).
+every feasibility probe and its slot, then execute once, then read the
+answers by slot (see :mod:`repro.ftbfs.cons2ftbfs` for the flagship
+conversion).
 
 **Dedupe.**  ``execute`` freezes every request into the same
 restriction key the scalar oracle uses (sorted banned edge ids +
-sorted banned vertices), collapses duplicate requests onto one slot,
+sorted banned vertices), collapses duplicate requests onto one entry,
 and answers whatever it can from the process-wide snapshot cache —
 requests repeated across batches, builders, or scalar queries cost a
 dict lookup, never a traversal.
@@ -347,41 +349,6 @@ class _TreeRepair:
         ]
 
 
-class QueryHandle:
-    """The (future) answer to one planned point query.
-
-    ``hops`` is ``None`` until the owning batch executes, then the raw
-    hop distance (``-1`` when the restriction cuts the pair).
-    :attr:`distance` is the ``inf``-style convenience view matching
-    :meth:`repro.core.canonical.DistanceOracle.distance`.
-    """
-
-    __slots__ = ("hops",)
-
-    def __init__(self) -> None:
-        self.hops: Optional[int] = None
-
-    @classmethod
-    def resolved(cls, hops: int) -> "QueryHandle":
-        """A pre-answered handle — used by planners that resolve a probe
-        from structure they already hold (e.g. an already-computed
-        replacement path certifying the distance) without any query."""
-        handle = cls()
-        handle.hops = hops
-        return handle
-
-    @property
-    def distance(self) -> float:
-        """``inf``-style hop distance, matching ``oracle.distance``'s
-        return convention exactly; requires the batch to have executed."""
-        if self.hops is None:
-            raise RuntimeError("query batch not executed yet")
-        return INF if self.hops == UNREACHED else self.hops
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QueryHandle(hops={self.hops})"
-
-
 class PointQueryBatch:
     """Planner for kernel-backed oracles (see module docstring).
 
@@ -391,15 +358,14 @@ class PointQueryBatch:
     same oracle family agree on keys and share cached answers.
     """
 
-    __slots__ = ("_oracle", "_requests", "_executed", "_stats")
+    __slots__ = ("_oracle", "_requests", "_stats")
 
     _ns = None  # read by the planner wrapper in perfbench/tracing.py
 
     def __init__(self, oracle) -> None:
         self._oracle = oracle
-        # (source, target, banned_edges, banned_vertices, handle)
+        # (source, target, banned_edges, banned_vertices)
         self._requests: List[Tuple] = []
-        self._executed = 0
         self._stats = {
             "queries": 0,
             "unique": 0,
@@ -425,14 +391,13 @@ class PointQueryBatch:
         target: int,
         banned_edges: Iterable[Sequence[int]] = (),
         banned_vertices: Iterable[int] = (),
-    ) -> QueryHandle:
+    ) -> int:
         """Plan ``dist(source, target, G \\ restriction)``; nothing runs
-        until :meth:`execute`."""
-        handle = QueryHandle()
-        self._requests.append(
-            (source, target, tuple(banned_edges), tuple(banned_vertices), handle)
-        )
-        return handle
+        until :meth:`execute`.  Returns the request's slot: its index
+        into the list :meth:`execute` returns."""
+        requests = self._requests
+        requests.append((source, target, tuple(banned_edges), tuple(banned_vertices)))
+        return len(requests) - 1
 
     def execute(self) -> List[int]:
         """Resolve every pending request; returns hops in plan order.
@@ -440,10 +405,12 @@ class PointQueryBatch:
         Dedupes requests against each other and the snapshot cache,
         then answers the misses on the snapshot's kernel tier: one C
         multi-pair call, or tree repair and the pooled python loop
-        grouped by frozen restriction (see module docstring).  Handles
-        from :meth:`add` are filled in place; the batch is then empty
-        and reusable.  Raises :class:`~repro.core.errors.GraphError`
-        for a probe whose source lies outside ``[0, n)``.
+        grouped by frozen restriction (see module docstring).  The
+        answer of the request whose :meth:`add` returned ``i`` is
+        element ``i`` (``-1`` where the restriction cuts the pair); the
+        batch is then empty and reusable, and slots restart at 0.
+        Raises :class:`~repro.core.errors.GraphError` for a probe whose
+        source lies outside ``[0, n)``.
         """
         requests, self._requests = self._requests, []
         if not requests:
@@ -465,12 +432,14 @@ class PointQueryBatch:
         eidx = csr.edge_index
         eidx_get = eidx.get
         slot_of: Dict[Tuple, int] = {}
-        unique: List[Tuple] = []  # (source, target, ekey, vkey, key)
-        slots: List[int] = []  # per request, its unique slot
+        # (source, target, ekey, vkey): the memo key, and the query row
+        # multi_pair_dists takes
+        unique: List[Tuple] = []
+        slots: List[int] = []  # per request, the index of its unique entry
         results: List[Optional[int]] = []
         misses: List[int] = []
         cache_hits = 0
-        for source, target, be, bv, _handle in requests:
+        for source, target, be, bv in requests:
             if bv:
                 eids, verts = oracle._restriction(csr, be, bv)
                 ekey = tuple(eids)
@@ -504,7 +473,7 @@ class PointQueryBatch:
             if slot is None:
                 slot = len(unique)
                 slot_of[key] = slot
-                unique.append((source, target, ekey, vkey, key))
+                unique.append(key)
                 hit = nsd.get(key)
                 if hit is not None:
                     results.append(hit)
@@ -531,7 +500,7 @@ class PointQueryBatch:
             if csr.c_active:
                 # C tier: every miss in one multi-pair call, or one C
                 # point query each below PAIR_MIN_C — no grouping.
-                queries = [unique[slot][:4] for slot in pending]
+                queries = [unique[slot] for slot in pending]
                 if len(queries) >= PAIR_MIN_C:
                     answers = csr.multi_pair_dists(queries)
                     st["paired"] += len(queries)
@@ -550,14 +519,9 @@ class PointQueryBatch:
         if misses:
             cache.bulk_evict(nsd, limit)
             for slot in misses:
-                nsd[unique[slot][4]] = results[slot]
+                nsd[unique[slot]] = results[slot]
 
-        out: List[int] = []
-        for (_s, _t, _be, _bv, handle), slot in zip(requests, slots):
-            handle.hops = results[slot]
-            out.append(handle.hops)
-        self._executed += len(requests)
-        return out
+        return [results[slot] for slot in slots]
 
     def _execute_python(
         self,
@@ -574,7 +538,7 @@ class PointQueryBatch:
         by_restriction: Dict[Tuple, List[int]] = {}
         eligible: Dict[int, int] = {}
         for slot in pending:
-            source, _t, ekey, vkey, _k = unique[slot]
+            source, _t, ekey, vkey = unique[slot]
             by_restriction.setdefault((source, ekey, vkey), []).append(slot)
             if not vkey:
                 eligible[source] = eligible.get(source, 0) + 1
@@ -652,22 +616,22 @@ class LegacyQueryBatch:
         target: int,
         banned_edges: Iterable[Sequence[int]] = (),
         banned_vertices: Iterable[int] = (),
-    ) -> QueryHandle:
-        """Plan one query (executed lazily by :meth:`execute`)."""
-        handle = QueryHandle()
-        self._requests.append(
-            (source, target, tuple(banned_edges), tuple(banned_vertices), handle)
-        )
-        return handle
+    ) -> int:
+        """Plan one query (executed lazily by :meth:`execute`); returns
+        its slot, as :meth:`PointQueryBatch.add` does."""
+        requests = self._requests
+        requests.append((source, target, tuple(banned_edges), tuple(banned_vertices)))
+        return len(requests) - 1
 
     def execute(self) -> List[int]:
-        """Answer all pending requests (duplicates answered once)."""
+        """Answer all pending requests in plan order (duplicates
+        answered once); slots restart at 0."""
         requests, self._requests = self._requests, []
         memo: Dict[Tuple, int] = {}
         out: List[int] = []
         distance = self._oracle.distance
-        for source, target, be, bv, handle in requests:
-            key = (source, target, be, bv)
+        for key in requests:
+            source, target, be, bv = key
             hops = memo.get(key)
             if hops is None:
                 d = distance(source, target, be, bv)
@@ -678,6 +642,5 @@ class LegacyQueryBatch:
                 else:
                     hops = int(d)
                 memo[key] = hops
-            handle.hops = hops
             out.append(hops)
         return out

@@ -64,10 +64,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.canonical import INF
+from repro.core.canonical import INF, UNREACHED
 from repro.core.graph import Edge, Graph, normalize_edge
 from repro.core.paths import Path
-from repro.core.query_batch import QueryHandle
 from repro.ftbfs.structures import FTStructure, make_structure
 from repro.replacement.base import SourceContext
 from repro.replacement.dual import DualReplacement, pid_replacement, pipi_replacement
@@ -142,10 +141,10 @@ def build_cons2ftbfs(
     singles = single_replacements_by_target(ctx, targets)
     batch = ctx.query_batch()
     plans = [_plan_vertex(ctx, v, singles[v], batch) for v in targets]
-    batch.execute()
+    hops = batch.execute()
 
     for plan in plans:
-        record = _finish_vertex(ctx, plan, keep_records, rule)
+        record = _finish_vertex(ctx, plan, hops, keep_records, rule)
         v = record.vertex
         edges.update(record.new_edges)
         edges.update(_incident_tree_edges(tree, v))
@@ -215,19 +214,21 @@ def _fault_pairs(
 
 @dataclass
 class _VertexPlan:
-    """One target's planned step-2/3 work: fault pairs + query handles.
+    """One target's planned step-2/3 work, as planner slots.
 
-    ``pipi``/``pid`` hold the pairs of :func:`_fault_pairs`, in its
-    order; each entry carries the
-    :class:`~repro.core.query_batch.QueryHandle` of its feasibility
-    probe.
+    The fault pairs are :func:`_fault_pairs` of ``singles``, in its
+    order; the plan holds plain ints only.  ``pipi`` has one entry per
+    step-2 pair: the slot of its feasibility probe (``>= 0``) or, for a
+    pair its step-1 certificate resolves, ``~length`` of the
+    certificate (``< 0``).  Step 3's probes take the contiguous slots
+    from ``pid_start`` on, one per pair.
     """
 
     vertex: int
     pi_path: Path
     singles: Dict[Edge, Optional[SingleReplacement]]
-    pipi: List[Tuple[SingleReplacement, SingleReplacement, QueryHandle]]
-    pid: List[Tuple[SingleReplacement, Edge, QueryHandle]]
+    pipi: List[int]
+    pid_start: int
 
 
 def _plan_vertex(
@@ -246,6 +247,7 @@ def _plan_vertex(
     single-fault-set groups at execution time.
     """
     source = ctx.source
+    add = batch.add
     pipi_pairs, pid_pairs = _fault_pairs(singles)
     pipi = []
     for upper, lower in pipi_pairs:
@@ -254,15 +256,16 @@ def _plan_vertex(
             # G \ {e_i, e_j}, and by restriction monotonicity its
             # length *is* dist(s, v, G \ {e_i, e_j}) — the pair's
             # feasibility probe resolves with zero traversal.
-            handle = QueryHandle.resolved(len(upper.path))
+            pipi.append(~len(upper.path))
         elif not lower.path.has_edge(*upper.fault):
-            handle = QueryHandle.resolved(len(lower.path))
+            pipi.append(~len(lower.path))
         else:
-            handle = batch.add(source, v, (upper.fault, lower.fault))
-        pipi.append((upper, lower, handle))
-    pid = [(rep, t, batch.add(source, v, (rep.fault, t))) for rep, t in pid_pairs]
+            pipi.append(add(source, v, (upper.fault, lower.fault)))
+    pid_start = len(batch)  # the slot the next add returns
+    for rep, t in pid_pairs:
+        add(source, v, (rep.fault, t))
     return _VertexPlan(
-        vertex=v, pi_path=ctx.pi(v), singles=singles, pipi=pipi, pid=pid
+        vertex=v, pi_path=ctx.pi(v), singles=singles, pipi=pipi, pid_start=pid_start
     )
 
 
@@ -330,11 +333,13 @@ class _DepthRule:
 def _finish_vertex(
     ctx: SourceContext,
     plan: _VertexPlan,
+    hops: List[int],
     keep_records: bool,
     rule: Optional[_DepthRule],
 ) -> VertexRecord:
     """Steps 1-3 for one target: the paper's sequential selection logic,
-    consuming the batched feasibility distances.
+    consuming the batched feasibility distances ``hops`` (the planner's
+    answers, read by the slots in ``plan``).
 
     Step 3 asks, per pair ``F = (e, t)`` with finite
     ``target = dist(s, v, G \\ F)``, whether ``dist(s, v, G \\ B) ==
@@ -376,6 +381,7 @@ def _finish_vertex(
     # Step 1: single faults on π(s, v) (computed during planning).
     # ------------------------------------------------------------------
     record = VertexRecord(vertex=v, pi_path=pi_path, singles=singles)
+    pipi_pairs, pid_pairs = _fault_pairs(singles)
     collected: Set[Edge] = set(incident_tree)
     for rep in singles.values():
         if rep is not None:
@@ -387,8 +393,10 @@ def _finish_vertex(
     # ------------------------------------------------------------------
     # Step 2: both faults on π(s, v).
     # ------------------------------------------------------------------
-    for upper, lower, handle in plan.pipi:
-        rec = pipi_replacement(ctx, v, upper, lower, target=handle.distance)
+    for (upper, lower), code in zip(pipi_pairs, plan.pipi):
+        d = hops[code] if code >= 0 else ~code  # a slot, or ~certificate length
+        target = INF if d == UNREACHED else d
+        rec = pipi_replacement(ctx, v, upper, lower, target=target)
         if rec is None:
             continue
         le = rec.path.last_edge()
@@ -405,11 +413,11 @@ def _finish_vertex(
     # prescribed decreasing (e, t) order.
     # ------------------------------------------------------------------
     entries = [rule.entry(v, e) for e in collected] if rule is not None else None
-    for rep, t, handle in plan.pid:
-        faults = (rep.fault, t)
-        target = handle.distance
-        if target == INF:
+    for slot, (rep, t) in enumerate(pid_pairs, plan.pid_start):
+        target = hops[slot]
+        if target == UNREACHED:
             continue
+        faults = (rep.fault, t)
         satisfied = rule.decide(entries, faults, target) if rule is not None else None
         if satisfied is None:
             restricted_ban = (all_incident - collected) | set(faults)

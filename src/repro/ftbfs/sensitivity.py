@@ -174,14 +174,16 @@ class DualFaultDistanceOracle:
         """Answer ``(v, faults)`` queries in bulk (plan-then-execute).
 
         Two-fault queries are planned against ``H``'s distance oracle
-        and resolved in one batched execution — deduplicated, grouped
-        by frozen fault set, in one C call where the C kernel loads
+        and resolved in one batched execution — deduplicated, then the
+        misses in one C multi-pair call where the C kernel loads, or
+        grouped by frozen fault set on the python kernel
         (:mod:`repro.core.query_batch`) — while 0/1-fault queries keep
         the O(1) table fast path.  Values are element-for-element
         identical to per-query :meth:`distance` calls.
         """
         planner = self._h_oracle.batch()
-        pending: List[Tuple[Optional[object], Optional[float]]] = []
+        # Per query: its planner slot and None, or -1 and its table value.
+        pending: List[Tuple[int, Optional[float]]] = []
         for v, faults in queries:
             fs = [normalize_edge(f[0], f[1]) for f in faults]
             if len(fs) > 2:
@@ -191,9 +193,9 @@ class DualFaultDistanceOracle:
             if len(fs) == 2:
                 pending.append((planner.add(self.source, v, fs), None))
             else:
-                pending.append((None, self._single.distance(v, *fs)))
-        planner.execute()
+                pending.append((-1, self._single.distance(v, *fs)))
+        hops = planner.execute()
         return [
-            value if handle is None else handle.distance
-            for handle, value in pending
+            value if slot < 0 else INF if hops[slot] == UNREACHED else hops[slot]
+            for slot, value in pending
         ]

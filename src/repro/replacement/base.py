@@ -26,11 +26,11 @@ layer.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import Sequence, Set
 
 from repro.core.canonical import DistanceOracle, make_engine, normalize_distance
 from repro.core.errors import GraphError
-from repro.core.graph import Edge, Graph, normalize_edge
+from repro.core.graph import Graph, normalize_edge
 from repro.core.paths import Path
 from repro.core.tree import BFSTree
 
@@ -190,11 +190,12 @@ class SourceContext:
 
         The plan-then-execute entry point for the feasibility loops of
         the builders (:mod:`repro.core.query_batch`): plan probes for
-        many fault sets, execute once, read the handles.  Every oracle
-        family answers the same planner surface, so ``--engine lex``
-        runs converted consumers scalar while the kernel engines
-        dedupe and send the misses to one C multi-pair call (tree
-        repair and the pooled loop on the python kernel).
+        many fault sets, execute once, read each answer by the slot
+        ``add`` returned.  Every oracle family answers the same planner
+        surface, so ``--engine lex`` runs converted consumers scalar
+        while the kernel engines dedupe and send the misses to one C
+        multi-pair call (tree repair and the pooled loop on the python
+        kernel).
         """
         return self.oracle.batch()
 

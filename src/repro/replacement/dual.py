@@ -29,7 +29,7 @@ benchmarks can confirm it stays rare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core.canonical import INF
 from repro.core.errors import ConstructionError, PathError
@@ -86,8 +86,7 @@ def _is_valid_candidate(
 ) -> bool:
     if path.source != source or path.target != v or len(path) != target_len:
         return False
-    edge_set = path.edge_set()
-    return not any(normalize_edge(*f) in edge_set for f in faults)
+    return not any(path.has_edge(*f) for f in faults)
 
 
 # ----------------------------------------------------------------------
@@ -147,19 +146,25 @@ def _compose_from_detours(
     lower: SingleReplacement,
     pi_path: Path,
 ) -> Optional[Path]:
-    """The Step-2 composed candidate, or ``None`` when it cannot be built."""
+    """The Step-2 composed candidate, or ``None`` when it cannot be built.
+
+    The four pieces are sliced straight into one vertex tuple: ``x_i``
+    heads ``D_i`` and ``y_j`` ends ``D_j``, so every junction matches
+    and ``D_i[x_i, w]`` / ``D_j[w, y_j]`` run forward along the detours.
+    """
     d_i, d_j = upper.detour, lower.detour
-    common = d_j.common_vertices(d_i)
-    if not common:
-        return None
     # w: the last point on D_j that is common to D_i.
-    w = next(u for u in reversed(d_j.vertices) if u in common)
+    w = d_j.last_common_vertex(d_i)
+    if w is None:
+        return None
+    pi_vs = pi_path.vertices
     try:
-        prefix = pi_path.prefix(upper.x)
-        mid_i = d_i.subpath(upper.x, w)
-        mid_j = d_j.subpath(w, lower.y)
-        suffix = pi_path.suffix(lower.y)
-        return prefix.concat(mid_i).concat(mid_j).concat(suffix)
+        return Path(
+            pi_vs[: pi_path.position(upper.x) + 1]
+            + d_i.vertices[1 : d_i.position(w) + 1]
+            + d_j.vertices[d_j.position(w) + 1 :]
+            + pi_vs[pi_path.position(lower.y) + 1 :]
+        )
     except PathError:
         # The composition revisits a vertex; the caller falls back to
         # the canonical shortest path, as the algorithm prescribes.
@@ -345,15 +350,15 @@ def _structured_pid_path(
 
     The tail additionally bans the already-used prefix vertices so the
     concatenation is guaranteed simple; validation happens in the
-    caller.
+    caller.  ``x`` heads the detour and the tail starts at ``w_ℓ``, so
+    the three pieces are sliced into one vertex tuple.
     """
-    x = detour.source
     w_ell = detour[ell]
-    prefix = pi_path.prefix(x)
-    along = Path(detour.vertices[: ell + 1])
-    used = set(prefix.vertices) | set(along.vertices)
-    used.discard(w_ell)
-    tail_ban = set(banned_v) | used
+    prefix = pi_path.vertices[: pi_path.position(detour.source) + 1]
+    along = detour.vertices[1 : ell + 1]  # D(x, w_ℓ]
+    tail_ban = set(banned_v)
+    tail_ban.update(prefix)
+    tail_ban.update(along)
     tail_ban.discard(w_ell)
     tail_ban.discard(v)
     try:
@@ -363,9 +368,7 @@ def _structured_pid_path(
     except Exception:
         return None
     try:
-        if ell == 0:
-            return prefix.concat(tail)
-        return prefix.concat(along).concat(tail)
+        return Path(prefix + along + tail.vertices[1:])
     except PathError:
         return None
 

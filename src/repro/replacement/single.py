@@ -118,11 +118,12 @@ def decompose_replacement(pi_path: Path, path: Path, fault: Edge) -> SingleRepla
     y = verts[y_index]
     # Sanity: prefix must coincide with π(s, x) and the suffix with
     # π(y, v); the detour interior must avoid π entirely.
-    if verts[: x_index + 1] != pi_path.prefix(x).vertices:
+    pi_vs = pi_path.vertices
+    if verts[: x_index + 1] != pi_vs[: pi_path.position(x) + 1]:
         raise ConstructionError(
             f"prefix of {path!r} deviates from π before its divergence point"
         )
-    if verts[y_index:] != pi_path.suffix(y).vertices:
+    if verts[y_index:] != pi_vs[pi_path.position(y) :]:
         raise ConstructionError(
             f"suffix of {path!r} deviates from π after reattaching at {y}"
         )
@@ -218,15 +219,15 @@ def _batched_divergence_indices(
     source = ctx.source
     active = [st for st in states if st[5] < st[6]]
     while active:
-        handles = []
         for v, pi_path, e, upper, _target, lo, hi in active:
             banned_v = ctx.pi_segment_interior_ban(
                 pi_path, pi_path[(lo + hi) // 2], pi_path[upper]
             )
-            handles.append(batch.add(source, v, (e,), banned_v))
-        batch.execute()
-        for st, handle in zip(active, handles):
-            if handle.hops == st[4]:  # feasible: tighten from above
+            batch.add(source, v, (e,), banned_v)
+        # The wave's probes are slots 0, 1, ... of this execution, in
+        # the order of `active`.
+        for st, hops in zip(active, batch.execute()):
+            if hops == st[4]:  # feasible: tighten from above
                 st[6] = (st[5] + st[6]) // 2
             else:
                 st[5] = (st[5] + st[6]) // 2 + 1

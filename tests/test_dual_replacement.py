@@ -1,11 +1,15 @@
 """Tests for dual-failure replacement path selection (Steps 2 & 3)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.canonical import INF
-from repro.core.errors import ConstructionError
+from repro.core.errors import ConstructionError, PathError
 from repro.core.graph import normalize_edge
-from repro.generators import erdos_renyi, tree_plus_chords
+from repro.core.paths import Path
+from repro.ftbfs.cons2ftbfs import _fault_pairs
+from repro.replacement import dual
 from repro.replacement.base import SourceContext
 from repro.replacement.dual import (
     earliest_detour_divergence,
@@ -14,9 +18,13 @@ from repro.replacement.dual import (
     pipi_replacement,
     plain_dual_replacement,
 )
-from repro.replacement.single import all_single_replacements
+from repro.replacement.single import (
+    SingleReplacement,
+    all_single_replacements,
+    single_replacements_by_target,
+)
 
-from tests.zoo import zoo_params
+from tests.zoo import CONS2_SHAPES, zoo_params
 
 
 def iter_pipi_cases(ctx, v):
@@ -217,3 +225,124 @@ def test_pipi_composed_flag_consistency(chordal_tree):
     # composed candidates are graph-dependent; just record that the flag
     # machinery ran without violating optimality.
     assert composed_seen >= 0
+
+
+# ----------------------------------------------------------------------
+# The one-tuple compositions against the path algebra they replace
+# ----------------------------------------------------------------------
+def composed_by_algebra(pi_path, upper, lower):
+    """Step 2's candidate ``π(s, x_i) ∘ D_i[x_i, w] ∘ D_j[w, y_j] ∘
+    π(y_j, v)`` built with :class:`Path` operations; ``None`` without a
+    common detour vertex or where the chain raises ``PathError``."""
+    d_i, d_j = upper.detour, lower.detour
+    common = d_j.common_vertices(d_i)
+    if not common:
+        return None
+    w = next(u for u in reversed(d_j.vertices) if u in common)
+    try:
+        return (
+            pi_path.prefix(upper.x)
+            .concat(d_i.subpath(upper.x, w))
+            .concat(d_j.subpath(w, lower.y))
+            .concat(pi_path.suffix(lower.y))
+        )
+    except PathError:
+        return None
+
+
+def structured_by_algebra(ctx, v, faults, pi_path, detour, ell, banned_v):
+    """Step 3's ``π(s, x) ∘ D[x, w_ℓ] ∘ SP(w_ℓ, v, ...)`` built with
+    :class:`Path` operations, banning the same tail vertices."""
+    x = detour.source
+    w_ell = detour[ell]
+    prefix = pi_path.prefix(x)
+    along = Path(detour.vertices[: ell + 1])
+    used = set(prefix.vertices) | set(along.vertices)
+    used.discard(w_ell)
+    tail_ban = set(banned_v) | used
+    tail_ban.discard(w_ell)
+    tail_ban.discard(v)
+    try:
+        tail = ctx.engine.canonical_path(
+            w_ell, v, banned_edges=faults, banned_vertices=tail_ban
+        )
+    except Exception:
+        return None
+    try:
+        if ell == 0:
+            return prefix.concat(tail)
+        return prefix.concat(along).concat(tail)
+    except PathError:
+        return None
+
+
+@pytest.mark.parametrize("shape", list(CONS2_SHAPES))
+def test_compose_from_detours_matches_path_algebra(shape):
+    """For every step-2 pair, the sliced candidate equals the
+    ``prefix ∘ subpath ∘ subpath ∘ suffix`` chain, and is ``None``
+    exactly where that chain raises."""
+    ctx = SourceContext(CONS2_SHAPES[shape](), 0)
+    targets = [v for v in ctx.tree.vertices() if v != 0]
+    singles = single_replacements_by_target(ctx, targets)
+    outcomes = Counter()
+    for v in targets:
+        pi_path = ctx.pi(v)
+        for upper, lower in _fault_pairs(singles[v])[0]:
+            got = dual._compose_from_detours(ctx, v, upper, lower, pi_path)
+            want = composed_by_algebra(pi_path, upper, lower)
+            assert got == want, (v, upper.fault, lower.fault)
+            outcomes["none" if got is None else "composed"] += 1
+    assert outcomes["composed"], outcomes
+
+
+def test_compose_from_detours_none_where_algebra_raises():
+    """A composition that revisits a vertex is ``None`` on both sides.
+    Real detours never produce one (the zoo shapes above compose every
+    pair with a common vertex), so two hand-made records do: ``D_j``
+    ends back on the π prefix."""
+    pi_path = Path([0, 1, 2, 3])
+    upper = SingleReplacement(
+        fault=(1, 2),
+        path=Path([0, 1, 9, 3]),
+        divergence=1,
+        reattach=3,
+        detour=Path([1, 9, 3]),
+    )
+    lower = SingleReplacement(
+        fault=(2, 3),
+        path=Path([2, 9, 0]),
+        divergence=2,
+        reattach=0,
+        detour=Path([2, 9, 0]),
+    )
+    assert lower.detour.last_common_vertex(upper.detour) == 9
+    with pytest.raises(PathError):
+        pi_path.prefix(1).concat(Path([1, 9])).concat(Path([9, 0]))
+    assert composed_by_algebra(pi_path, upper, lower) is None
+    assert dual._compose_from_detours(None, 3, upper, lower, pi_path) is None
+
+
+@pytest.mark.parametrize("shape", list(CONS2_SHAPES))
+def test_structured_pid_path_matches_path_algebra(shape, monkeypatch):
+    """On every step-3 pair whose selection reaches the structured
+    candidate, the sliced path equals the ``prefix ∘ D[x, w_ℓ] ∘ tail``
+    chain (``None`` exactly where it raises)."""
+    ctx = SourceContext(CONS2_SHAPES[shape](), 0)
+    sliced = dual._structured_pid_path
+    calls = []
+
+    def recorded(*args):
+        out = sliced(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(dual, "_structured_pid_path", recorded)
+    targets = [v for v in ctx.tree.vertices() if v != 0]
+    singles = single_replacements_by_target(ctx, targets)
+    for v in targets:
+        for rep, t in _fault_pairs(singles[v])[1]:
+            pid_replacement(ctx, v, rep, t)
+    assert calls
+    for args, out in calls:
+        assert out == structured_by_algebra(*args), args[1:3]
+    assert any(out is not None for _args, out in calls)

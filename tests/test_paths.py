@@ -27,6 +27,16 @@ class TestConstruction:
         with pytest.raises(PathError):
             Path([0, 1, 0])
 
+    def test_repeat_caught_without_an_index(self):
+        # concat slices vertex tuples, so neither operand ever builds
+        # its vertex -> position index; the repeat is still caught, and
+        # named as the first vertex that occurs twice.
+        head, tail = Path([4, 1, 2]), Path([2, 3, 1, 5])
+        with pytest.raises(PathError) as err:
+            head.concat(tail)
+        assert str(err.value) == "vertex 1 repeats in path [4, 1, 2, 3, 1, 5]"
+        assert head._pos is None and tail._pos is None
+
     def test_hash_and_eq(self):
         assert Path([0, 1]) == Path([0, 1])
         assert Path([0, 1]) != Path([1, 0])

@@ -20,16 +20,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ckernel, query_batch
-from repro.core.canonical import INF, DistanceOracle, PythonDistanceOracle
+from repro.core.canonical import (
+    ENGINES,
+    INF,
+    UNREACHED,
+    DistanceOracle,
+    PythonDistanceOracle,
+)
 from repro.core.ckernel import c_kernel_available
 from repro.core.csr import csr_of, kernel_dispatch_stats
-from repro.core.query_batch import (
-    LegacyQueryBatch,
-    QueryHandle,
-    _TreeRepair,
-)
+from repro.core.query_batch import LegacyQueryBatch, PointQueryBatch, _TreeRepair
 from repro.core.snapshot_cache import shared_cache
-from repro.ftbfs.cons2ftbfs import _plan_vertex, build_cons2ftbfs, feasibility_probes
+from repro.ftbfs.cons2ftbfs import (
+    _fault_pairs,
+    _plan_vertex,
+    build_cons2ftbfs,
+    feasibility_probes,
+)
 from repro.generators import erdos_renyi, path_graph, tree_plus_chords
 from repro.replacement.base import SourceContext
 from repro.replacement.single import single_replacements_by_target
@@ -55,6 +62,11 @@ def oracle_families(graph):
     ]
 
 
+def as_distance(hops):
+    """A planner answer in ``oracle.distance``'s ``inf`` convention."""
+    return INF if hops == UNREACHED else hops
+
+
 def random_requests(graph, rng, count, max_edges=3, max_vertices=2):
     edges = sorted(graph.edges())
     out = []
@@ -78,10 +90,10 @@ def test_batch_matches_scalar_across_families(name, graph):
     expected = [reference.distance(*req) for req in requests]
     for family, oracle in oracle_families(graph):
         batch = oracle.batch()
-        handles = [batch.add(*req) for req in requests]
+        slots = [batch.add(*req) for req in requests]
         shared_cache().clear()
-        batch.execute()
-        got = [h.distance for h in handles]
+        hops = batch.execute()
+        got = [as_distance(hops[slot]) for slot in slots]
         assert got == expected, family
 
 
@@ -109,14 +121,14 @@ def test_empty_batch_and_reuse():
     oracle = DistanceOracle(g)
     batch = oracle.batch()
     assert batch.execute() == []  # empty batch is a no-op
-    h1 = batch.add(0, 3)
-    batch.execute()
-    first = h1.hops
-    # the batch is reusable; earlier handles stay valid
-    h2 = batch.add(0, 3, ((0, 1),))
-    batch.execute()
-    assert h1.hops == first
-    assert h2.distance == oracle.distance(0, 3, ((0, 1),))
+    s1 = batch.add(0, 3)
+    first = batch.execute()
+    assert as_distance(first[s1]) == oracle.distance(0, 3)
+    # the batch is reusable: slots restart, earlier answer lists stay
+    s2 = batch.add(0, 3, ((0, 1),))
+    second = batch.execute()
+    assert s1 == s2 == 0 and len(first) == len(second) == 1
+    assert as_distance(second[s2]) == oracle.distance(0, 3, ((0, 1),))
 
 
 def test_duplicate_pairs_resolve_once_and_agree():
@@ -125,16 +137,17 @@ def test_duplicate_pairs_resolve_once_and_agree():
     edges = sorted(g.edges())
     batch = oracle.batch()
     f = (edges[0], edges[3])
-    handles = [batch.add(0, 9, f) for _ in range(7)]
+    slots = [batch.add(0, 9, f) for _ in range(7)]
     # same restriction expressed in a different edge order / with an
     # unknown edge appended must land on the same dedupe slot
-    handles.append(batch.add(0, 9, (edges[3], edges[0])))
-    handles.append(batch.add(0, 9, (edges[0], edges[3], (91, 92))))
+    slots.append(batch.add(0, 9, (edges[3], edges[0])))
+    slots.append(batch.add(0, 9, (edges[0], edges[3], (91, 92))))
     shared_cache().clear()
-    batch.execute()
+    hops = batch.execute()
     assert batch.stats["unique"] == 1
-    assert len({h.hops for h in handles}) == 1
-    assert handles[0].distance == oracle.distance(0, 9, f)
+    assert len(hops) == len(slots) == 9
+    assert len({hops[slot] for slot in slots}) == 1
+    assert as_distance(hops[slots[0]]) == oracle.distance(0, 9, f)
 
 
 def test_disconnected_and_out_of_range_targets():
@@ -145,20 +158,47 @@ def test_disconnected_and_out_of_range_targets():
         beyond = batch.add(0, 11)  # no such vertex
         banned = batch.add(0, 4, (), (4,))  # target vertex-banned
         self_banned = batch.add(3, 3, (), (3,))
-        batch.execute()
-        assert cut.hops == -1 and cut.distance == INF
-        assert beyond.hops == -1
-        assert banned.hops == -1
-        assert self_banned.hops == -1, family
+        hops = batch.execute()
+        assert hops[cut] == -1 and as_distance(hops[cut]) == INF
+        assert hops[beyond] == -1
+        assert hops[banned] == -1
+        assert hops[self_banned] == -1, family
 
 
-def test_unexecuted_handle_raises():
-    g = path_graph(4)
-    batch = DistanceOracle(g).batch()
-    h = batch.add(0, 2)
-    with pytest.raises(RuntimeError):
-        h.distance
-    assert QueryHandle.resolved(3).distance == 3
+def test_int_slot_contract_every_engine_family():
+    """``add`` returns 0, 1, 2, ... within a round and restarts at 0
+    after ``execute``; ``execute()[i]`` equals the scalar
+    ``oracle.distance`` of request ``i``.  Both planner classes, every
+    registered engine's oracle family (weighted ones included)."""
+    g = tree_plus_chords(40, 14, seed=3)
+    edges = sorted(g.edges())
+    rng = random.Random(12)
+    planners = set()
+    for name in sorted(ENGINES):
+        ctx = SourceContext(g, 0, name)
+        oracle = ctx.oracle
+        batch = ctx.query_batch()
+        planners.add(type(batch))
+        for _round in range(3):
+            requests = [
+                (
+                    rng.randrange(g.n),
+                    rng.randrange(g.n + 1),
+                    tuple(rng.sample(edges, k=rng.randrange(0, 3))),
+                    tuple(rng.sample(range(g.n), k=rng.randrange(0, 2))),
+                )
+                for _ in range(12)
+            ]
+            requests.append(requests[0])  # a duplicate keeps its own slot
+            slots = [batch.add(*req) for req in requests]
+            assert slots == list(range(len(requests))), name
+            assert len(batch) == len(requests)
+            shared_cache().clear()
+            hops = batch.execute()
+            assert len(batch) == 0 and len(hops) == len(requests)
+            for slot, req in zip(slots, requests):
+                assert as_distance(hops[slot]) == oracle.distance(*req), (name, req)
+    assert planners == {PointQueryBatch, LegacyQueryBatch}
 
 
 def test_batch_results_enter_the_shared_point_memo():
@@ -166,11 +206,11 @@ def test_batch_results_enter_the_shared_point_memo():
     oracle = DistanceOracle(g)
     shared_cache().clear()
     batch = oracle.batch()
-    h = batch.add(1, 7, ((1, 2),))
-    batch.execute()
+    slot = batch.add(1, 7, ((1, 2),))
+    hops = batch.execute()
     # the scalar path must now answer from the same memo
     before = shared_cache().hits
-    assert oracle.distance(1, 7, ((1, 2),)) == h.distance
+    assert oracle.distance(1, 7, ((1, 2),)) == as_distance(hops[slot])
     assert shared_cache().hits == before + 1
     # and vice versa: scalar-seeded entries serve the batch
     batch2 = oracle.batch()
@@ -224,11 +264,11 @@ def test_batches_match_scalar_property(n, p, seed):
     rng = random.Random(seed)
     requests = random_requests(g, rng, 25)
     batch = oracle.batch()
-    handles = [batch.add(*req) for req in requests]
+    slots = [batch.add(*req) for req in requests]
     shared_cache().clear()
-    batch.execute()
-    for req, handle in zip(requests, handles):
-        assert handle.distance == reference.distance(*req)
+    hops = batch.execute()
+    for req, slot in zip(requests, slots):
+        assert as_distance(hops[slot]) == reference.distance(*req)
 
 
 def _mixed_queries(g, csr, rng, count):
@@ -294,10 +334,10 @@ def test_c_kernel_fallback_lands_on_python(monkeypatch):
     reference = PythonDistanceOracle(g)
     requests = random_requests(g, rng, 30)
     batch = oracle.batch()
-    handles = [batch.add(*req) for req in requests]
+    slots = [batch.add(*req) for req in requests]
     shared_cache().clear()
-    batch.execute()
-    assert [h.distance for h in handles] == [
+    hops = batch.execute()
+    assert [as_distance(hops[slot]) for slot in slots] == [
         reference.distance(*req) for req in requests
     ]
 
@@ -346,10 +386,10 @@ def test_csr_oracle_residual_runs_in_c(mode, monkeypatch):
     ]
     shared_cache().clear()
     batch = DistanceOracle(g).batch()
-    handles = [batch.add(*req) for req in requests]
-    batch.execute()
+    slots = [batch.add(*req) for req in requests]
+    hops = batch.execute()
     reference = PythonDistanceOracle(g)
-    assert [h.distance for h in handles] == [
+    assert [as_distance(hops[slot]) for slot in slots] == [
         reference.distance(*req) for req in requests
     ]
     paired = batch.stats["paired"]
@@ -408,10 +448,10 @@ def test_repair_cap_controls_strategy(monkeypatch):
                 for _s, t, be, bv in random_requests(g, rng, 60, max_vertices=0)
             ]
         batch = oracle.batch()
-        handles = [batch.add(*r) for r in reqs]
+        slots = [batch.add(*r) for r in reqs]
         shared_cache().clear()
-        batch.execute()
-        results[cap] = [h.hops for h in handles]
+        hops = batch.execute()
+        results[cap] = [hops[slot] for slot in slots]
         # cap 0 only leaves the zero-work case (no tree fault touched);
         # a huge cap routes every eligible restriction through repair
         repaired = batch.stats["repaired"]
@@ -424,10 +464,12 @@ def test_repair_cap_controls_strategy(monkeypatch):
 
 @pytest.mark.parametrize("shape", list(CONS2_SHAPES))
 def test_plan_handles_match_independent_oracle(shape):
-    """Every handle ``_plan_vertex`` gives the finish phase — planned
-    probes and zero-traversal step-1 certificates alike — holds
+    """Every answer ``_plan_vertex`` plans for the finish phase —
+    planner slots and zero-traversal step-1 certificates alike — is
     ``dist(s, v, G \\ F)`` as the legacy python oracle computes it: an
-    independent kernel with no shared memo."""
+    independent kernel with no shared memo.  Step 3's slots are
+    contiguous per target, and all slots together cover the planner's
+    answer list exactly once."""
     g = CONS2_SHAPES[shape]()
     shared_cache().clear()
     ctx = SourceContext(g, 0)
@@ -435,22 +477,33 @@ def test_plan_handles_match_independent_oracle(shape):
     singles = single_replacements_by_target(ctx, targets)
     batch = ctx.query_batch()
     plans = [_plan_vertex(ctx, v, singles[v], batch) for v in targets]
-    batch.execute()
+    hops = batch.execute()
     reference = PythonDistanceOracle(g)
     kinds = Counter()
+    seen = []
     for plan in plans:
         v = plan.vertex
-        for upper, lower, handle in plan.pipi:
+        pipi, pid = _fault_pairs(plan.singles)
+        assert len(plan.pipi) == len(pipi)
+        for (upper, lower), code in zip(pipi, plan.pipi):
             certified = not (
                 upper.path.has_edge(*lower.fault)
                 and lower.path.has_edge(*upper.fault)
             )
+            assert certified == (code < 0)
             kinds["certified" if certified else "planned"] += 1
+            if certified:
+                d = ~code
+            else:
+                d = hops[code]
+                seen.append(code)
             faults = (upper.fault, lower.fault)
-            assert handle.distance == reference.distance(0, v, faults)
-        for rep, t, handle in plan.pid:
+            assert as_distance(d) == reference.distance(0, v, faults)
+        for slot, (rep, t) in enumerate(pid, plan.pid_start):
             kinds["planned"] += 1
-            assert handle.distance == reference.distance(0, v, (rep.fault, t))
+            seen.append(slot)
+            assert as_distance(hops[slot]) == reference.distance(0, v, (rep.fault, t))
+    assert sorted(seen) == list(range(len(hops)))
     assert kinds["certified"] and kinds["planned"]
 
 
@@ -525,8 +578,8 @@ def test_c_tier_skips_repair_and_grouping(mode, monkeypatch):
     for req in requests[:5]:
         oracle.distance(*req)  # seeds the shared point memo
     batch = oracle.batch()
-    handles = [batch.add(*req) for req in requests]
-    batch.execute()
+    slots = [batch.add(*req) for req in requests]
+    hops = batch.execute()
     st = batch.stats
     assert st["queries"] == len(requests) > st["unique"]
     assert st["cached"] > 0
@@ -536,20 +589,20 @@ def test_c_tier_skips_repair_and_grouping(mode, monkeypatch):
     else:
         assert st["paired"] == 0 and st["repaired"] > 0
     csr = csr_of(g)
-    for (s, t, be, bv), handle in zip(requests, handles):
-        assert handle.hops == csr.bidir_distance(s, t, csr.stamp_bans(be, bv))
+    for (s, t, be, bv), slot in zip(requests, slots):
+        assert hops[slot] == csr.bidir_distance(s, t, csr.stamp_bans(be, bv))
     if mode == "on":
         # Below PAIR_MIN_C misses, each runs as one C point query.
         shared_cache().clear()
         points = kernel_dispatch_stats(g)["points_c"]
         small = [(0, t, edges[:2], (3,)) for t in (7, 9)]
         batch = oracle.batch()
-        handles = [batch.add(*req) for req in small]
-        batch.execute()
+        slots = [batch.add(*req) for req in small]
+        hops = batch.execute()
         assert batch.stats["paired"] == 0
         assert kernel_dispatch_stats(g)["points_c"] == points + len(small)
-        for (s, t, be, bv), handle in zip(small, handles):
-            assert handle.hops == csr.bidir_distance(s, t, csr.stamp_bans(be, bv))
+        for (s, t, be, bv), slot in zip(small, slots):
+            assert hops[slot] == csr.bidir_distance(s, t, csr.stamp_bans(be, bv))
 
 
 def test_feasibility_probes_certificates_are_exact():
@@ -576,13 +629,13 @@ def test_legacy_query_batch_dedupes():
     batch = oracle.batch()
     assert isinstance(batch, LegacyQueryBatch)
     assert batch.execute() == []
-    h1 = batch.add(0, 5)
-    h2 = batch.add(0, 5)
-    h3 = batch.add(0, 5, ((0, 1),))
-    batch.execute()
-    assert h1.hops == h2.hops
-    assert h1.distance == oracle.distance(0, 5)
-    assert h3.distance == oracle.distance(0, 5, ((0, 1),))
+    s1 = batch.add(0, 5)
+    s2 = batch.add(0, 5)
+    s3 = batch.add(0, 5, ((0, 1),))
+    hops = batch.execute()
+    assert hops[s1] == hops[s2]
+    assert as_distance(hops[s1]) == oracle.distance(0, 5)
+    assert as_distance(hops[s3]) == oracle.distance(0, 5, ((0, 1),))
 
 
 def test_sensitivity_batch_uses_planner_and_matches_scalar():

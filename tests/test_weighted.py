@@ -451,16 +451,17 @@ class TestWeightedSentinels:
         g.add_edge(1, 2, 0.5)
         oracle = WeightedDistanceOracle(g, cache=SnapshotCache())
         batch = oracle.batch()
-        h_int = batch.add(0, 1)
-        h_frac = batch.add(0, 2)
-        h_cut = batch.add(0, 4)
-        h_dup = batch.add(0, 1)
+        s_int = batch.add(0, 1)
+        s_frac = batch.add(0, 2)
+        s_cut = batch.add(0, 4)
+        s_dup = batch.add(0, 1)
+        assert [s_int, s_frac, s_cut, s_dup] == [0, 1, 2, 3]
         out = batch.execute()
         assert out == [2, 2.5, UNREACHED, 2]
-        assert isinstance(h_int.hops, int)
-        assert h_frac.hops == 2.5
-        assert h_cut.hops == UNREACHED
-        assert h_dup.hops == h_int.hops
+        assert isinstance(out[s_int], int)
+        assert out[s_frac] == 2.5
+        assert out[s_cut] == UNREACHED
+        assert out[s_dup] == out[s_int]
 
 
 # ----------------------------------------------------------------------
