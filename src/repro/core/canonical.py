@@ -86,7 +86,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.csr import CSRGraph, csr_of
 from repro.core.errors import DisconnectedError, GraphError
@@ -198,6 +198,11 @@ class SearchResult:
     def distances(self) -> List[int]:
         """Raw distance list (``-1`` = unreachable); do not mutate."""
         return self._dist
+
+    def parents(self) -> Sequence[int]:
+        """Raw parent sequence (``-1`` = unreachable, the source its own
+        parent); do not mutate."""
+        return self._parent
 
 
 def _check_source(source: int, n: int) -> None:

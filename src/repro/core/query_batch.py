@@ -39,6 +39,8 @@ snapshot's kernel tier:
   subtrees hanging below the faulted tree edges can change distance,
   so one bucketed mini-BFS over that region, seeded across its
   boundary with base depths, answers *every* target of the group.
+  The region and its search come from the snapshot BFS's
+  :class:`~repro.core.tree.TreeIndex`.
   What the repair leaves runs the **pooled scalar loop**
   (:meth:`repro.core.csr.CSRGraph.bidir_distances`), one ban stamping
   per restriction and one python point query per pair.
@@ -99,88 +101,51 @@ REPAIR_MAX_REGION = 16
 
 
 class _TreeRepair:
-    """Per-(snapshot, source) context for repair-based point queries —
-    the python tier's strategy (see module docstring).
+    """Per-(snapshot, source) tree repair, the python tier's strategy
+    (see module docstring).
 
-    For an edge-only restriction ``F``, ``dist(s, w, G \\ F)`` equals
-    the unfaulted ``depth(w)`` for every ``w`` whose BFS-tree path from
-    ``s`` avoids ``F`` — banning edges only removes paths, and the tree
-    path survives.  The only vertices whose distance can change are the
-    *affected region*: the union of the subtrees hanging below the
-    faulted tree edges (non-tree faults affect nobody).  A point query
-    therefore collapses to a bucketed mini-Dijkstra over that region,
-    seeded across its boundary with ``depth(u) + 1`` labels (exact:
-    every path enters the region through such an arc, and region exits
-    re-enter through another seed).  On the Cons2FTBFS workload regions
-    average a handful of vertices, so one query costs a few dozen list
-    operations — far below the pooled python bidirectional search.
-    Under C the planner does not build it: one multi-pair call answers
-    a probe in about 1.5 µs, while a :meth:`query_many` call averages
-    15–18 µs on the perfbench build graphs.
+    For an edge-only restriction ``F``, only the *affected region* —
+    the subtrees hanging below ``F``'s tree edges — can change
+    distance: every other vertex keeps its tree path.  A point query
+    therefore collapses to one seeded mini-BFS over that region
+    (:meth:`repro.core.tree.TreeIndex.region_search`); on the
+    Cons2FTBFS workload regions average a handful of vertices, far
+    below the pooled python bidirectional search.  Under C the planner
+    does not build it: one multi-pair call answers a probe in about
+    1.5 µs, while a :meth:`query_many` call averages 15–18 µs on the
+    perfbench build graphs.
 
-    Building the context costs one full canonical BFS (depth + parents
-    + children + tree-edge ids); it is cached per (CSR snapshot,
-    source) in the process-wide snapshot cache, which is what makes
-    this a *batch* strategy — a planner with thousands of same-source
-    probes amortizes it to noise.  Results are bit-identical to
+    The tree facts live in a :class:`~repro.core.tree.TreeIndex` of the
+    snapshot's own canonical BFS; this class keeps the planner's policy
+    over it: the region cap, the tree-edge-id → child map (planner keys
+    are edge ids) and the clean-family cache.  It is cached per (CSR
+    snapshot, source) in the process-wide snapshot cache, so a planner
+    with thousands of same-source probes amortizes its one BFS.
+    Results are bit-identical to
     :meth:`repro.core.csr.CSRGraph.bidir_distance` (both are exact).
     """
 
-    __slots__ = (
-        "arcs",
-        "source",
-        "depth",
-        "children",
-        "child_of_eid",
-        "subtree_size",
-        "_mark",
-        "_label",
-        "_gen",
-        "_regions",
-        "_clean",
-        "_seen",
-    )
+    __slots__ = ("arcs", "index", "child_of_eid", "_clean", "_seen")
 
     def __init__(self, csr, source: int) -> None:
+        # tree imports canonical, which imports this module.
+        from repro.core.tree import TreeIndex
+
         # Hold only the iteration view, never the snapshot object: the
         # context is cached in the snapshot-keyed weak table, and a
         # strong value→key reference would keep retired snapshots (and
         # their whole memo tables) alive forever.
         self.arcs = csr.arcs
-        self.source = source
         csr.bfs(source, csr.stamp_edge_ids((), ()))
-        depth, parent = csr.collect()
-        self.depth = depth
-        n = csr.n
-        children: List[List[int]] = [[] for _ in range(n)]
-        child_of_eid: Dict[int, int] = {}
+        index = TreeIndex(source, *csr.collect())
+        self.index = index
+        parent = index.parent
         eidx = csr.edge_index
-        order = []  # reachable vertices in BFS-depth order
-        for w in range(n):
+        child_of_eid: Dict[int, int] = {}
+        for w in index.order[1:]:  # every tree vertex but the root
             p = parent[w]
-            if w == source or p == UNREACHED or p == w:
-                continue
-            children[p].append(w)
             child_of_eid[eidx[(p, w) if p < w else (w, p)]] = w
-            order.append(w)
-        self.children = children
         self.child_of_eid = child_of_eid
-        # |subtree(w)| lets query() reject oversized regions in O(1)
-        # before walking anything (children before parents = reverse
-        # depth order).
-        size = [1] * n
-        order.sort(key=depth.__getitem__, reverse=True)
-        for w in order:
-            size[parent[w]] += size[w]
-        self.subtree_size = size
-        # Stamped scratch (same trick as the CSR kernel): region marks
-        # and distance labels are valid only for the current generation.
-        self._mark = [0] * n
-        self._label = [0] * n
-        self._gen = 0
-        # roots tuple → region vertex list; fault pairs sharing a tree
-        # fault (every step-3 probe of one π-edge) share their region.
-        self._regions: Dict[Tuple[int, ...], List[int]] = {}
         # roots tuple → (labels, region-incident eids) of the *clean*
         # mini-BFS (tree faults only).  The step-3 workload probes one
         # tree fault against every edge of its detour; a detour edge
@@ -193,38 +158,16 @@ class _TreeRepair:
         # family), and building a clean context for those is pure loss.
         self._seen: set = set()
 
-    def _region(self, roots: Tuple[int, ...]) -> List[int]:
-        region = self._regions.get(roots)
-        if region is None:
-            children = self.children
-            seen = set()
-            region = []
-            for r in roots:
-                if r in seen:
-                    continue
-                stack = [r]
-                while stack:
-                    w = stack.pop()
-                    if w in seen:
-                        continue
-                    seen.add(w)
-                    region.append(w)
-                    stack.extend(children[w])
-            if len(self._regions) >= 8192:
-                self._regions.clear()
-            self._regions[roots] = region
-        return region
-
     def query_many(
         self, targets: Sequence[int], eids: Sequence[int], limit: int
     ) -> Optional[List[int]]:
         """``dist(source, t, G \\ eids)`` for each target, or ``None``.
 
-        One region walk + one seeded mini-BFS answers *every* target of
-        the fault set (the labels cover the whole affected region), so
-        a multi-target group costs the same as a single probe.
-        ``None`` defers to the traversal kernels when the region
-        outgrows ``limit``; all returned values are exact raw hops.
+        One region search answers *every* target of the fault set (the
+        labels cover the whole affected region), so a multi-target
+        group costs the same as a single probe.  ``None`` defers to the
+        traversal kernels when the region outgrows ``limit``; all
+        returned values are exact raw hops.
 
         The dominant probe family — one tree fault probed against every
         edge of its detour (``Cons2FTBFS`` step 3) — additionally
@@ -233,7 +176,8 @@ class _TreeRepair:
         all such probes are answered from one cached mini-BFS over the
         tree faults alone.
         """
-        depth = self.depth
+        index = self.index
+        depth = index.depth
         child_of_eid = self.child_of_eid
         roots = tuple(
             sorted(child_of_eid[e] for e in eids if e in child_of_eid)
@@ -241,33 +185,33 @@ class _TreeRepair:
         if not roots:
             # no fault touches the tree: every tree path survives
             return [depth[t] for t in targets]
-        if sum(self.subtree_size[r] for r in roots) > limit:
+        if sum(index.tout[r] - index.tin[r] for r in roots) > limit:
             return None  # cheap upper bound (roots may nest, sum ≥ |region|)
-        if len(eids) > 3:
+        if len(eids) <= 3:
             # Restriction-heavy probes (scenario SRLG groups and
             # maintenance waves, batched through distances_bulk) almost
-            # always touch the region, so the clean-family machinery
-            # below is pure overhead for them — search directly.
-            return self._searched(self._region(roots), tuple(eids), targets)
-        clean = self._clean.get(roots)
-        if clean is None:
-            if roots not in self._seen:
-                # First touch: don't speculate on family reuse yet.
-                if len(self._seen) >= 65536:
-                    self._seen.clear()
-                self._seen.add(roots)
-                return self._searched(
-                    self._region(roots), tuple(eids), targets
-                )
-            tree_eids = tuple(e for e in eids if e in child_of_eid)
-            clean = self._build_clean(roots, tree_eids)
-        labels, touched = clean
-        for e in eids:
-            if e in touched and e not in child_of_eid:
-                break  # a non-tree ban reaches the region: full search
-        else:
-            return [labels.get(t, depth[t]) for t in targets]
-        return self._searched(self._region(roots), tuple(eids), targets)
+            # always touch the region, so they skip the clean-family
+            # machinery below and search directly.
+            clean = self._clean.get(roots)
+            if clean is None:
+                if roots in self._seen:
+                    tree_eids = tuple(e for e in eids if e in child_of_eid)
+                    clean = self._build_clean(roots, tree_eids)
+                else:
+                    # First touch: don't speculate on family reuse yet.
+                    if len(self._seen) >= 65536:
+                        self._seen.clear()
+                    self._seen.add(roots)
+            if clean is not None:
+                labels, touched = clean
+                for e in eids:
+                    if e in touched and e not in child_of_eid:
+                        break  # a non-tree ban reaches the region: full search
+                else:
+                    return [labels.get(t, depth[t]) for t in targets]
+        return index.region_search(
+            self.arcs, index.region(roots), tuple(eids), targets
+        )
 
     def _build_clean(
         self, roots: Tuple[int, ...], tree_eids: Tuple[int, ...]
@@ -276,77 +220,16 @@ class _TreeRepair:
         final labels for every region vertex under the tree faults
         alone, plus the region-incident edge ids that decide whether an
         extra ban can perturb them."""
-        region = self._region(roots)
-        touched = frozenset(
-            e for w in region for _u, e in self.arcs[w]
-        )
-        answers = self._searched(region, tree_eids, region)
+        index = self.index
+        region = index.region(roots)
+        touched = frozenset(e for w in region for _u, e in self.arcs[w])
+        answers = index.region_search(self.arcs, region, tree_eids, region)
         labels = dict(zip(region, answers))
         if len(self._clean) >= 8192:
             self._clean.clear()
         clean = (labels, touched)
         self._clean[roots] = clean
         return clean
-
-    def _searched(
-        self, region: List[int], banned: Tuple[int, ...], targets: Sequence[int]
-    ) -> List[int]:
-        """The seeded bucketed mini-BFS over ``region`` (see class
-        docstring); exact raw hops per target, ``depth`` outside the
-        region, ``-1`` where the restriction cuts a region vertex off."""
-        depth = self.depth
-        gen = self._gen + 1
-        self._gen = gen
-        mark = self._mark
-        for w in region:
-            mark[w] = gen
-        if all(mark[t] != gen for t in targets):
-            return [depth[t] for t in targets]
-        arcs = self.arcs
-        label = self._label
-        # Boundary seeds: cheapest entry arc per region vertex; labels
-        # are exact entry distances, relaxed below by a bucketed BFS
-        # (unit weights, so per-distance frontier lists suffice).
-        seeds: Dict[int, List[int]] = {}
-        for w in region:
-            best = -1
-            for u, e in arcs[w]:
-                if mark[u] == gen or e in banned:
-                    continue
-                du = depth[u]
-                if du != UNREACHED and (best < 0 or du + 1 < best):
-                    best = du + 1
-            label[w] = best
-            if best >= 0:
-                seeds.setdefault(best, []).append(w)
-        if seeds:
-            d = min(seeds)
-            frontier = seeds.pop(d)
-            while frontier or seeds:
-                if not frontier:
-                    d = min(seeds)
-                    frontier = seeds.pop(d)
-                    continue
-                nd = d + 1
-                nxt_frontier: List[int] = []
-                for w in frontier:
-                    if label[w] != d:
-                        continue  # relabeled cheaper since queued
-                    for u, e in arcs[w]:
-                        if mark[u] != gen or e in banned:
-                            continue
-                        lu = label[u]
-                        if lu < 0 or lu > nd:
-                            label[u] = nd
-                            nxt_frontier.append(u)
-                pend = seeds.pop(nd, None)
-                if pend is not None:
-                    nxt_frontier.extend(pend)
-                frontier = nxt_frontier
-                d = nd
-        return [
-            (label[t] if mark[t] == gen else depth[t]) for t in targets
-        ]
 
 
 class PointQueryBatch:

@@ -272,35 +272,23 @@ def _plan_vertex(
 class _DepthRule:
     """Step 3's ``d_restricted == target`` test decided from T0 depths.
 
-    Holds the tree index the test reads: Euler intervals, and the child
-    endpoint of every tree edge a fault pair has named so far.  A
+    Reads the tree's :class:`~repro.core.tree.TreeIndex`: depths, Euler
+    intervals and the child endpoint of each faulted tree edge.  A
     collected edge ``(u, v)`` enters the test as the entry
     ``(edge, depth(u), tin(u))`` (:meth:`entry`); :meth:`decide` answers
     ``True``, ``False`` or ``None`` (the pair needs its point query).
     See :func:`_finish_vertex` for why the answers are exact.
     """
 
-    __slots__ = ("tree", "tin", "tout", "_child")
+    __slots__ = ("index",)
 
     def __init__(self, tree) -> None:
-        self.tree = tree
-        self.tin, self.tout = tree.euler_intervals()
-        self._child: Dict[Edge, int] = {}
+        self.index = tree.index
 
     def entry(self, v: int, edge: Edge) -> Tuple[Edge, int, int]:
         """The test's view of collected edge ``edge`` at ``v``."""
         u = edge[0] if edge[1] == v else edge[1]
-        return edge, self.tree.depth(u), self.tin[u]
-
-    def child(self, e: Edge) -> int:
-        """The child endpoint of ``e`` in T0, ``-1`` if ``e`` is no tree edge."""
-        c = self._child.get(e)
-        if c is None:
-            a, b = e
-            parent = self.tree.parent
-            c = b if parent(b) == a else a if parent(a) == b else -1
-            self._child[e] = c
-        return c
+        return edge, self.index.depth[u], self.index.tin[u]
 
     def decide(
         self,
@@ -312,11 +300,12 @@ class _DepthRule:
         ``dist(s, u, G \\ F) = target - 1``?  ``None`` when T0 depths
         cannot tell."""
         f0, f1 = faults
-        tin = self.tin
-        tout = self.tout
-        c = self.child(f0)
+        index = self.index
+        tin = index.tin
+        tout = index.tout
+        c = index.child(*f0)
         lo0, hi0 = (tin[c], tout[c]) if c >= 0 else (0, 0)
-        c = self.child(f1)
+        c = index.child(*f1)
         lo1, hi1 = (tin[c], tout[c]) if c >= 0 else (0, 0)
         tm = target - 1
         undecided = False

@@ -109,15 +109,15 @@ class SourceContext:
         from repro.core.delta import DELTA_MAX_DAMAGE, _vec_survives
 
         old = self.tree
+        index = old.index
         added = [normalize_edge(u, v) for u, v in added]
         removed = [normalize_edge(u, v) for u, v in removed]
         rebuild = False
         roots: Set[int] = set()
         for u, v in removed:
-            if old.parent(v) == u:
-                roots.add(v)
-            elif old.parent(u) == v:
-                roots.add(u)
+            c = index.child(u, v)
+            if c >= 0:
+                roots.add(c)
         for u, v in added:
             ru, rv = old.reached(u), old.reached(v)
             if not (ru and rv):
@@ -134,8 +134,8 @@ class SourceContext:
         if rebuild:
             damage = 1.0
         else:
-            tin, tout = old.euler_intervals()  # tout - tin: a subtree's size
-            damage = sum(tout[r] - tin[r] for r in roots) / max(n, 1)
+            # tout - tin: a subtree's size
+            damage = sum(index.tout[r] - index.tin[r] for r in roots) / max(n, 1)
         if rebuild or damage > DELTA_MAX_DAMAGE:
             self.tree = BFSTree(self.graph, self.source, self.engine)
             dropped = len(self._fault_dist)

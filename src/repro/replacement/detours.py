@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.errors import ConstructionError
-from repro.core.graph import Edge
 from repro.core.paths import Path
 from repro.replacement.single import SingleReplacement
 
@@ -57,11 +55,6 @@ class DetourPair:
     second: SingleReplacement
     configuration: DetourConfiguration
     dependent: bool
-
-
-def pi_position(pi_path: Path, vertex: int) -> int:
-    """Depth of a π-vertex (position along ``π(s, v)``)."""
-    return pi_path.position(vertex)
 
 
 def order_pair(

@@ -400,34 +400,62 @@ def test_csr_oracle_residual_runs_in_c(mode, monkeypatch):
         assert paired == 0 and stats is None
 
 
-def test_tree_repair_exactness_all_regions(monkeypatch):
-    """The repair strategy is exact whatever the region cap allows."""
+def test_tree_repair_exactness_all_regions():
+    """What the repair owns on top of its snapshot's tree index: the
+    map from tree edge id to child endpoint, the region cap (read off
+    the Euler intervals) and the clean-family cache with its 2-touch
+    admission.  Every answer it gives, first touch, clean build, clean
+    hit, a non-tree ban that reaches the region or a restriction-heavy
+    probe, is the exact restricted distance."""
     g = tree_plus_chords(60, 25, seed=31)
     csr = csr_of(g)
     repair = _TreeRepair(csr, 0)
-    ref = DistanceOracle(g)
-    edges = sorted(g.edges())
-    rng = random.Random(5)
-    checked = 0
-    for _ in range(200):
-        eids = sorted(
-            csr.resolve_edge_ids(rng.sample(edges, k=rng.randrange(0, 3)))
-        )
-        targets = rng.sample(range(g.n), k=4)
-        got = repair.query_many(targets, eids, limit=10_000)
+    index = repair.index
+    edge_of = {i: e for e, i in csr.edge_index.items()}
+    assert repair.child_of_eid == {
+        i: index.child(*e) for i, e in edge_of.items() if index.child(*e) >= 0
+    }
+    assert len(repair.child_of_eid) == g.n - 1
+    reference = PythonDistanceOracle(g)
+    targets = list(range(g.n))
+
+    def check(eids, limit=10_000):
+        got = repair.query_many(targets, eids, limit)
         assert got is not None
-        shared_cache().clear()
-        raw = [(i,) for i in eids]
-        for t, d in zip(targets, got):
-            want = ref.distance(
-                0, t, [e for e, i in csr.edge_index.items() if i in eids]
-            )
-            assert (INF if d == -1 else d) == want
-            checked += 1
-    assert checked
-    # a zero cap defers any tree-fault restriction instead of answering
-    tree_eid = next(iter(repair.child_of_eid))
-    assert repair.query_many([1], [tree_eid], 0) is None
+        faults = [edge_of[i] for i in eids]
+        assert got == reference.distances_from(0, faults), faults
+
+    def size(eid):
+        c = repair.child_of_eid[eid]
+        return index.tout[c] - index.tin[c]
+
+    # The cap is a region size: one below it defers, the size answers.
+    tree_eids = sorted(repair.child_of_eid, key=size, reverse=True)
+    big = tree_eids[0]
+    c = repair.child_of_eid[big]
+    assert size(big) > 1
+    assert repair.query_many([c], [big], size(big) - 1) is None
+    assert repair.query_many([c], [big], size(big)) is not None
+    repair = _TreeRepair(csr, 0)  # fresh admission state
+    # A step-3 family: one tree fault against every non-tree edge.  The
+    # first probe of the family only marks it seen; the second builds
+    # its clean search, which answers every later probe a non-tree ban
+    # cannot reach.  Tree partners add a second, possibly nested, root.
+    rng = random.Random(5)
+    non_tree = sorted(set(edge_of) - set(repair.child_of_eid))
+    for eid in tree_eids[:3] + rng.sample(tree_eids[3:], 5):
+        roots = (repair.child_of_eid[eid],)
+        for k, other in enumerate(rng.sample(non_tree, len(non_tree))):
+            check(sorted((eid, other)))
+            assert (roots in repair._clean) == (k >= 1)
+        for other in tree_eids:
+            check(sorted({eid, other}))
+    # Restriction-heavy probes search directly, outside the family cache.
+    seen = set(repair._seen)
+    for _ in range(20):
+        check(sorted(rng.sample(sorted(edge_of), 5)))
+    assert repair._seen == seen
+    check([])
 
 
 def test_repair_cap_controls_strategy(monkeypatch):
